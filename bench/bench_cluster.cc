@@ -298,11 +298,11 @@ ScenarioResult RunClusterFig10b(double scale) {
   out.alloc_events = static_cast<uint64_t>(config.measure / Millis(1));
   // Ratcheted ceiling (see EXPERIMENTS.md): the data-plane slab/pool work
   // brought steady state from ~58 allocs/sim-ms down to 2.40, and routing
-  // the partition agents through the persistent CSR arena planner
-  // (use_arena_planner: no per-round LocalGraphView, all planning scratch
-  // reused) removed the control plane's ~1.8 allocs/sim-ms on top, leaving
-  // 0.54 — essentially just the plan/response payloads that go onto the
-  // wire. The ratchet went 5.0 -> 3.0 -> 2.5 -> 1.0; the current ceiling
+  // the partition agents through the CSR arena planner (no per-round
+  // LocalGraphView, all planning scratch reused) removed the control
+  // plane's ~1.8 allocs/sim-ms on top, leaving 0.54 — essentially just the
+  // plan/response payloads that go onto the wire. The ratchet went
+  // 5.0 -> 3.0 -> 2.5 -> 1.0; the current ceiling
   // keeps ~46% headroom for stdlib growth-policy differences while catching
   // any reintroduced per-round allocation.
   out.max_allocs_per_event = 1.0;

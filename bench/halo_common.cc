@@ -19,13 +19,6 @@ ClusterConfig MakeHaloClusterConfig(const HaloExperimentConfig& config) {
   cfg.partition.pairwise.balance_delta = 200;
   cfg.partition.edge_sample_capacity = 16384;
   cfg.partition.edge_decay_period = Seconds(10);
-  // Plan through the persistent CSR arena: byte-identical decisions
-  // (tests/runtime/arena_planner_test.cc pins both plan- and decide-side
-  // equality plus an end-to-end placement digest), so every recorded Halo
-  // baseline stays comparable, while steady-state control-plane work stops
-  // allocating — the fig10b allocs/event ratchet and the 10M-actor
-  // bytes/actor ceiling both lean on this.
-  cfg.partition.use_arena_planner = true;
   cfg.enable_thread_optimization = config.thread_optimization;
   cfg.thread_controller.period = Seconds(1);
   cfg.thread_controller.eta = 100e-6;  // the paper's calibrated η

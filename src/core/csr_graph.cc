@@ -50,50 +50,73 @@ CsrGraph CsrGraph::FromLocalView(const LocalGraphView& view) {
       edges.push_back(CsrEdge{v, u, w});
     }
   }
-  std::sort(edges.begin(), edges.end(), [](const CsrEdge& a, const CsrEdge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
   CsrGraph out;
   out.RebuildFromEdgeList(edges);
   return out;
 }
 
 void CsrGraph::RebuildFromEdgeList(const std::vector<CsrEdge>& edges) {
-  // Vertex set: sources plus every referenced destination, sorted and
-  // deduplicated (ascending ids == ascending dense indices, as always).
+  // Vertex set: sources plus every referenced destination. Endpoints are
+  // deduplicated through index_ first, so only the unique ids get sorted
+  // (ascending ids == ascending dense indices, as always); the second pass
+  // then points each id at its dense index.
   ids_.clear();
+  index_.Clear();
   for (const CsrEdge& e : edges) {
-    ids_.push_back(e.src);
-    ids_.push_back(e.dst);
+    if (index_.Insert(e.src, kNoIndex)) {
+      ids_.push_back(e.src);
+    }
+    if (index_.Insert(e.dst, kNoIndex)) {
+      ids_.push_back(e.dst);
+    }
   }
   std::sort(ids_.begin(), ids_.end());
-  ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
   const size_t n = ids_.size();
-  index_.Clear();
-  index_.Reserve(n);
   for (size_t i = 0; i < n; i++) {
-    index_.Insert(ids_[i], static_cast<int32_t>(i));
+    *index_.Find(ids_[i]) = static_cast<int32_t>(i);
   }
+  // Counting sort on source index: count each span, turn the counts into
+  // span starts, then place every edge at its source's cursor. Placing
+  // advances offsets_[i] to the start of span i + 1, so one shift restores
+  // the starts.
   offsets_.assign(n + 1, 0);
-  nbr_.resize(edges.size());
-  weight_.resize(edges.size());
-  // Sorted by (src, dst) means edges already arrive in CSR order: spans fill
-  // contiguously in ascending source index, each sorted by destination index
-  // (id order == index order on both axes).
-  size_t e_i = 0;
   for (const CsrEdge& e : edges) {
-    if (e_i > 0) {
-      ACTOP_DCHECK(edges[e_i - 1].src < e.src ||
-                   (edges[e_i - 1].src == e.src && edges[e_i - 1].dst < e.dst));
-    }
-    const int32_t src_idx = IndexOf(e.src);
-    offsets_[static_cast<size_t>(src_idx) + 1]++;
-    nbr_[e_i] = IndexOf(e.dst);
-    weight_[e_i] = e.weight;
-    e_i++;
+    offsets_[static_cast<size_t>(IndexOf(e.src)) + 1]++;
   }
   for (size_t i = 0; i < n; i++) {
     offsets_[i + 1] += offsets_[i];
+  }
+  nbr_.resize(edges.size());
+  weight_.resize(edges.size());
+  for (const CsrEdge& e : edges) {
+    const size_t slot = offsets_[static_cast<size_t>(IndexOf(e.src))]++;
+    nbr_[slot] = IndexOf(e.dst);
+    weight_[slot] = e.weight;
+  }
+  for (size_t i = n; i > 0; i--) {
+    offsets_[i] = offsets_[i - 1];
+  }
+  offsets_[0] = 0;
+  // Order each span by destination index; pairs are unique, so the order
+  // is total and independent of the input order.
+  for (size_t i = 0; i < n; i++) {
+    const size_t begin = offsets_[i];
+    const size_t end = offsets_[i + 1];
+    if (end - begin < 2) {
+      continue;
+    }
+    span_scratch_.clear();
+    for (size_t e = begin; e < end; e++) {
+      span_scratch_.emplace_back(nbr_[e], weight_[e]);
+    }
+    std::sort(span_scratch_.begin(), span_scratch_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (size_t e = begin; e < end; e++) {
+      const auto& [u_idx, w] = span_scratch_[e - begin];
+      ACTOP_DCHECK(e == begin || nbr_[e - 1] < u_idx);
+      nbr_[e] = u_idx;
+      weight_[e] = w;
+    }
   }
 }
 

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -60,10 +61,11 @@ class CsrGraph {
 
   // In-place variant of FromLocalView over a raw directed edge list, reusing
   // every internal buffer — the runtime PartitionAgent refreezes its sampled
-  // view each round through this without allocating in steady state. `edges`
-  // must be sorted by (src, dst) with unique pairs; the vertex set is
+  // edges each round through this without allocating in steady state.
+  // `edges` holds unique (src, dst) pairs in any order; the vertex set is
   // sources plus destinations, and only sources carry spans (same
-  // asymmetric contract as FromLocalView).
+  // asymmetric contract as FromLocalView). The frozen arrays depend only on
+  // the edge set, never on its order.
   void RebuildFromEdgeList(const std::vector<CsrEdge>& edges);
 
   int32_t num_vertices() const { return static_cast<int32_t>(ids_.size()); }
@@ -94,6 +96,9 @@ class CsrGraph {
   std::vector<size_t> offsets_;    // n + 1 entries
   std::vector<int32_t> nbr_;       // neighbor dense index per edge slot
   std::vector<double> weight_;     // weight per edge slot
+  // RebuildFromEdgeList scratch: one source span's (neighbor, weight) pairs
+  // while it is ordered.
+  std::vector<std::pair<int32_t, double>> span_scratch_;
 };
 
 }  // namespace actop

@@ -16,9 +16,11 @@
 //                      ||V_p| − |V_q|| ≤ δ (§ "Determining exchange subsets").
 //   TransferScore    — Rp,q(v) = Σ_{u∈V_q} w(v,u) − Σ_{u∈V_p} w(v,u).
 //
-// The runtime's PartitionAgent (src/runtime/partition_agent.h) wraps these in
-// control messages; the static-graph test harness (partition_testbed.h)
-// drives them directly to validate Theorem 1.
+// This is the readable reference planner. The runtime's PartitionAgent
+// (src/runtime/partition_agent.h) plans through the flat RepartitionArena
+// instead, which tests/runtime/arena_planner_test.cc proves byte-identical
+// to the *Ordered entry points here; the static-graph test harness
+// (partition_testbed.h) drives these directly to validate Theorem 1.
 
 #ifndef SRC_CORE_PAIRWISE_PARTITION_H_
 #define SRC_CORE_PAIRWISE_PARTITION_H_

@@ -85,8 +85,8 @@ class RepartitionArena {
   // translating back to kNoServer as in ExportPeerPlans). S0 vertex ids land
   // in *accepted, T0 vertex ids in *counter; size_p/size_q mirror the
   // reference's request-size / TotalSize() inputs. Byte-identity assumes the
-  // BuildView invariant that location knowledge exists only for vertices the
-  // responder actually sampled (all of which are in the frozen graph).
+  // sampled-view invariant that location knowledge exists only for vertices
+  // the responder actually sampled (all of which are in the frozen graph).
   void DecideOffer(ServerId q, ServerId p, const std::vector<Candidate>& offered, double size_p,
                    double size_q, ServerId unknown, std::vector<VertexId>* accepted,
                    std::vector<VertexId>* counter);

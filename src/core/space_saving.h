@@ -108,6 +108,20 @@ class SpaceSaving {
     return out;
   }
 
+  // Calls fn(const Entry&) for every tracked entry, without materializing a
+  // vector. Visits in slab order: deterministic, but unrelated to counts.
+  // The walk is sequential, where following the bucket chains is a pointer
+  // chase across the whole slab; on a sampler that went cold between
+  // partition rounds that is most of the cost.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const Node& node : nodes_) {
+      if (node.bucket != kNil) {
+        fn(Entry{node.key, node.count, node.error});
+      }
+    }
+  }
+
   // Entries ranked heaviest-first: count descending, key ascending on ties.
   // Only instantiable for Keys with operator< (ids in this codebase).
   std::vector<Entry> SortedEntries() const {
@@ -157,6 +171,7 @@ class SpaceSaving {
       node.error /= 2;
       if (node.count == 0) {
         index_.Erase(node.key);
+        node.bucket = kNil;  // marks the slot free for ForEach
         free_nodes_.push_back(n);
         size_--;
         continue;
@@ -189,7 +204,7 @@ class SpaceSaving {
     uint64_t error = 0;
     int32_t prev = kNil;  // within-bucket chain; head..tail mirrors the
     int32_t next = kNil;  // seed's bucket vector order (tail == back()).
-    int32_t bucket = kNil;
+    int32_t bucket = kNil;  // kNil: slot is free
   };
 
   struct Bucket {

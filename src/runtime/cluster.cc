@@ -64,17 +64,7 @@ void Cluster::Init() {
       const int shard = ShardOfServer(static_cast<ServerId>(i));
       Simulation* shard_sim = engine_ == nullptr ? sim_ : &engine_->shard(shard);
       auto agent = std::make_unique<PartitionAgent>(shard_sim, this, server, config_.partition);
-      PartitionAgent* raw = agent.get();
-      server->set_edge_observer([raw](ActorId local, ActorId peer, ServerId dest) {
-        raw->ObserveEdge(local, peer, dest);
-      });
-      server->set_partition_handlers(
-          [raw](ServerId from, const PartitionExchangeRequest& request) {
-            raw->OnExchangeRequest(from, request);
-          },
-          [raw](ServerId from, const PartitionExchangeResponse& response) {
-            raw->OnExchangeResponse(from, response);
-          });
+      server->set_partition_agent(agent.get());
       agents_.push_back(std::move(agent));
     }
   }

@@ -1,6 +1,6 @@
 #include "src/runtime/partition_agent.h"
 
-#include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "src/common/check.h"
@@ -65,34 +65,6 @@ void PartitionAgent::ObserveEdge(ActorId local, ActorId peer, ServerId dest) {
   }
 }
 
-LocalGraphView PartitionAgent::BuildView() const {
-  LocalGraphView view;
-  view.self = server_->id();
-  view.num_local_vertices = server_->num_activations();
-  for (const auto& entry : edges_.Entries()) {
-    const ActorId local = entry.key.local;
-    const ActorId peer = entry.key.peer;
-    if (!server_->IsActive(local)) {
-      continue;  // migrated away or deactivated; decay will reclaim it
-    }
-    view.adjacency[local][peer] += static_cast<double>(entry.count);
-    if (server_->IsActive(peer)) {
-      view.location[peer] = server_->id();
-      continue;
-    }
-    ServerId loc = server_->location_cache().Peek(peer);
-    if (loc == kNoServer) {
-      if (const ServerId* seen = last_seen_.Find(peer)) {
-        loc = *seen;
-      }
-    }
-    if (loc != kNoServer) {
-      view.location[peer] = loc;
-    }
-  }
-  return view;
-}
-
 PairwiseConfig PartitionAgent::CurrentPairwiseConfig() const {
   PairwiseConfig cfg = config_.pairwise;
   cfg.target_size = static_cast<double>(cluster_->total_activations()) /
@@ -100,42 +72,41 @@ PairwiseConfig PartitionAgent::CurrentPairwiseConfig() const {
   return cfg;
 }
 
-std::vector<VertexId> PartitionAgent::SampledOrder(const LocalGraphView& view) {
-  std::vector<VertexId> order;
-  order.reserve(view.adjacency.size());
-  for (const auto& [v, adj] : view.adjacency) {
-    order.push_back(v);
-  }
-  std::sort(order.begin(), order.end());
-  return order;
-}
+struct PartitionAgent::PlanWorkspace {
+  PlanWorkspace() = default;
+  // The arena keeps a pointer to `graph`.
+  PlanWorkspace(const PlanWorkspace&) = delete;
+  PlanWorkspace& operator=(const PlanWorkspace&) = delete;
 
-void PartitionAgent::RefreshPlanGraph() {
-  // Freeze the samples straight into the CSR, skipping the LocalGraphView
-  // hash maps whose per-round construction dominated the control plane's
-  // allocation profile. The edge list mirrors BuildView's filtering and the
-  // assignment mirrors its location resolution (active -> here, else cache,
-  // else last-seen, else unknown), so the frozen graph is the same view the
-  // reference planner would have materialized.
-  plan_edges_.clear();
-  for (const auto& entry : edges_.Entries()) {
-    if (!server_->IsActive(entry.key.local)) {
-      continue;  // migrated away or deactivated; decay will reclaim it
+  CsrGraph graph;
+  // Planning-only, over `graph`; built for one server count.
+  std::unique_ptr<RepartitionArena> arena;
+  std::vector<CsrEdge> edges;
+  std::vector<ServerId> assignment;
+  std::vector<VertexId> accepted;  // responder's S0
+  std::vector<VertexId> counter;   // responder's T0
+};
+
+PartitionAgent::PlanWorkspace& PartitionAgent::FreezePlan() {
+  // One workspace per planning thread: agents plan one at a time on each
+  // thread and keep nothing of it across calls, so sharing the buffers keeps
+  // their capacity warm without paying for a copy per agent.
+  thread_local PlanWorkspace ws;
+  ws.edges.clear();
+  edges_.ForEach([this](const auto& entry) {
+    // A local vertex no longer active here migrated away or was
+    // deactivated; decay will reclaim its edges.
+    if (server_->IsActive(entry.key.local)) {
+      ws.edges.push_back(
+          CsrEdge{entry.key.local, entry.key.peer, static_cast<double>(entry.count)});
     }
-    plan_edges_.push_back(
-        CsrEdge{entry.key.local, entry.key.peer, static_cast<double>(entry.count)});
-  }
-  // Space-Saving keys are unique (local, peer) pairs, so sorting yields the
-  // strictly-increasing sequence RebuildFromEdgeList requires.
-  std::sort(plan_edges_.begin(), plan_edges_.end(), [](const CsrEdge& a, const CsrEdge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
   });
-  plan_graph_.RebuildFromEdgeList(plan_edges_);
+  ws.graph.RebuildFromEdgeList(ws.edges);
 
   const auto unknown = static_cast<ServerId>(cluster_->num_servers());
-  plan_assignment_.resize(static_cast<size_t>(plan_graph_.num_vertices()));
-  for (int32_t i = 0; i < plan_graph_.num_vertices(); i++) {
-    const VertexId v = plan_graph_.IdOf(i);
+  ws.assignment.resize(static_cast<size_t>(ws.graph.num_vertices()));
+  for (int32_t i = 0; i < ws.graph.num_vertices(); i++) {
+    const VertexId v = ws.graph.IdOf(i);
     ServerId loc;
     if (server_->IsActive(v)) {
       loc = server_->id();
@@ -150,14 +121,16 @@ void PartitionAgent::RefreshPlanGraph() {
         loc = unknown;
       }
     }
-    plan_assignment_[static_cast<size_t>(i)] = loc;
+    ws.assignment[static_cast<size_t>(i)] = loc;
   }
-  if (plan_arena_ == nullptr) {
-    plan_arena_ = std::make_unique<RepartitionArena>(
-        &plan_graph_, cluster_->num_servers() + 1, CurrentPairwiseConfig(), plan_assignment_);
+  const int arena_servers = cluster_->num_servers() + 1;
+  if (ws.arena == nullptr || ws.arena->num_servers() != arena_servers) {
+    ws.arena = std::make_unique<RepartitionArena>(&ws.graph, arena_servers,
+                                                  CurrentPairwiseConfig(), ws.assignment);
   } else {
-    plan_arena_->ResetPlanning(CurrentPairwiseConfig(), plan_assignment_);
+    ws.arena->ResetPlanning(CurrentPairwiseConfig(), ws.assignment);
   }
+  return ws;
 }
 
 void PartitionAgent::RunRound() {
@@ -172,22 +145,16 @@ void PartitionAgent::RunRound() {
   }
   rounds_initiated_++;
   if (edges_.size() == 0) {
-    // Nothing sampled: the view would be empty and the plan set with it, so
-    // skip the view build and plan rebuild. Observably identical to running
-    // them (pending_plans_ ends up empty either way, and the worker-stage
-    // charge below was already skipped for empty plan sets).
+    // Nothing sampled: the frozen graph would be empty and the plan set
+    // with it, so skip the freeze. Observably identical to running it
+    // (pending_plans_ ends up empty either way, and the worker-stage charge
+    // below is skipped for empty plan sets).
     pending_plans_.clear();
     next_plan_ = 0;
     return;
   }
-  if (config_.use_arena_planner) {
-    RefreshPlanGraph();
-    plan_arena_->ExportPeerPlans(server_->id(), &pending_plans_,
-                                 static_cast<ServerId>(cluster_->num_servers()));
-  } else {
-    const LocalGraphView view = BuildView();
-    pending_plans_ = BuildPeerPlansOrdered(view, CurrentPairwiseConfig(), SampledOrder(view));
-  }
+  FreezePlan().arena->ExportPeerPlans(server_->id(), &pending_plans_,
+                                      static_cast<ServerId>(cluster_->num_servers()));
   if (static_cast<int>(pending_plans_.size()) > config_.max_peers_per_round) {
     pending_plans_.resize(static_cast<size_t>(config_.max_peers_per_round));
   }
@@ -230,45 +197,23 @@ void PartitionAgent::OnExchangeRequest(ServerId from, const PartitionExchangeReq
     server_->SendControl(from, std::move(response));
     return;
   }
-  if (config_.use_arena_planner) {
-    // The arena path reads the wire candidates in place and reuses every
-    // planning and output buffer; only the response payload allocates.
-    RefreshPlanGraph();
-    plan_arena_->DecideOffer(server_->id(), from, request.candidates,
-                             static_cast<double>(request.from_num_vertices),
-                             static_cast<double>(server_->num_activations()),
-                             static_cast<ServerId>(cluster_->num_servers()), &accepted_scratch_,
-                             &counter_scratch_);
-  } else {
-    // Translate into the algorithm's struct through a reused scratch: the
-    // copy-assign recycles the candidate buffers from the previous request
-    // instead of deep-copying into fresh vectors every time.
-    exchange_scratch_.from = from;
-    exchange_scratch_.from_num_vertices = request.from_num_vertices;
-    exchange_scratch_.from_total_size = -1.0;
-    exchange_scratch_.candidates = request.candidates;
-    // The ordered decide keeps the responder's counter-candidate set
-    // byte-stable across standard-library versions and identical between the
-    // reference and arena planning backends.
-    const LocalGraphView view = BuildView();
-    ExchangeDecision decision = DecideExchangeOrdered(view, exchange_scratch_,
-                                                      CurrentPairwiseConfig(), SampledOrder(view));
-    accepted_scratch_.assign(decision.accepted.begin(), decision.accepted.end());
-    counter_scratch_.clear();
-    for (const Candidate& c : decision.counter_offer) {
-      counter_scratch_.push_back(c.vertex);
-    }
-  }
+  // The arena reads the wire candidates in place and decides into reused
+  // buffers; only the response payload allocates.
+  PlanWorkspace& ws = FreezePlan();
+  ws.arena->DecideOffer(server_->id(), from, request.candidates,
+                        static_cast<double>(request.from_num_vertices),
+                        static_cast<double>(server_->num_activations()),
+                        static_cast<ServerId>(cluster_->num_servers()), &ws.accepted, &ws.counter);
 
   // Transfer T0 to the requester; vertices busy with in-flight calls are
   // skipped this round (they will surface again if the edge stays heavy).
   int migrated = 0;
-  for (VertexId v : counter_scratch_) {
+  for (VertexId v : ws.counter) {
     if (server_->MigrateActor(v, from)) {
       migrated++;
     }
   }
-  response.accepted.assign(accepted_scratch_.begin(), accepted_scratch_.end());
+  response.accepted.assign(ws.accepted.begin(), ws.accepted.end());
   if (!response.accepted.empty() || migrated > 0) {
     last_exchange_ = sim_->now();
   }

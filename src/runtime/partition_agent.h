@@ -1,25 +1,27 @@
 // Per-server driver of the distributed partitioning algorithm (§4.2–§4.3).
 //
 // Each agent samples its server's outgoing actor-to-actor traffic with a
-// Space-Saving summary, periodically builds a LocalGraphView from the
-// sampled heavy edges, ranks peers by expected cost reduction, and runs the
+// Space-Saving summary. Once per exchange period it freezes the sampled
+// heavy edges into a CsrGraph and plans over it with a planning-only
+// RepartitionArena: it ranks peers by expected cost reduction and runs the
 // pairwise coordination protocol over control messages. Accepted moves are
 // applied through the server's opportunistic migration mechanism.
+//
+// The frozen graph and the arena are scratch, shared by every agent that
+// plans on the same thread: nothing planned outlives one RunRound or
+// OnExchangeRequest call except the peer plans still to be tried.
 
 #ifndef SRC_RUNTIME_PARTITION_AGENT_H_
 #define SRC_RUNTIME_PARTITION_AGENT_H_
 
-#include <memory>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/flat_hash_map.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
-#include "src/core/csr_graph.h"
 #include "src/core/pairwise_partition.h"
-#include "src/core/repartition_arena.h"
 #include "src/core/space_saving.h"
 #include "src/runtime/message.h"
 #include "src/sim/simulation.h"
@@ -48,18 +50,6 @@ struct PartitionAgentConfig {
   // CPU charged to the worker stage per round for candidate-set computation,
   // per sampled edge (models the O(V log k) scan of §4.2).
   SimDuration plan_compute_per_edge = Nanos(120);
-  // Plans and decides rounds through the flat CSR repartitioning arena
-  // (src/core/repartition_arena.h) instead of the map-based reference
-  // planner: the sampled edges are frozen straight into a persistent
-  // CsrGraph (no LocalGraphView hash maps) and scanned linearly, with every
-  // planning buffer reused across rounds — steady-state control-plane work
-  // allocates only the plan and response payloads that go onto the wire
-  // (the fig10b allocs/event ratchet counts on this). Decisions are
-  // byte-identical to the reference path
-  // (tests/runtime/arena_planner_test.cc) because both visit local vertices
-  // in ascending-id order and the agent's edge weights are integer sample
-  // counts (exact in double regardless of summation order).
-  bool use_arena_planner = false;
 };
 
 class PartitionAgent {
@@ -71,15 +61,18 @@ class PartitionAgent {
   void Start();
   void Stop();
 
-  // Wired to Server::set_edge_observer.
+  // Called by the server for every actor-to-actor message it sends.
   void ObserveEdge(ActorId local, ActorId peer, ServerId dest);
 
-  // Control-message entry points (wired by the Server).
+  // Control-message entry points (called by the Server).
   void OnExchangeRequest(ServerId from, const PartitionExchangeRequest& request);
   void OnExchangeResponse(ServerId from, const PartitionExchangeResponse& response);
 
-  // Builds the current sampled view (exposed for tests).
-  LocalGraphView BuildView() const;
+  // Sampled weight of the (local -> peer) edge: its Space-Saving count, or
+  // 0 when the edge is not tracked (exposed for tests).
+  uint64_t SampledWeight(ActorId local, ActorId peer) const {
+    return edges_.EstimateCount(EdgeKey{local, peer});
+  }
 
   uint64_t rounds_initiated() const { return rounds_initiated_; }
   uint64_t exchanges_accepted() const { return exchanges_accepted_; }
@@ -101,14 +94,14 @@ class PartitionAgent {
   void TryNextPeer();
   void MigrateAccepted(ServerId dest, const std::vector<VertexId>& vertices);
   PairwiseConfig CurrentPairwiseConfig() const;
-  // The canonical vertex-visit order for this view: sampled local vertices
-  // ascending by id (mirrors PartitionTestbed::SampledMembers).
-  static std::vector<VertexId> SampledOrder(const LocalGraphView& view);
-  // Arena backend only: refreezes the current samples into plan_graph_ /
-  // plan_arena_ (see the member comment). Resolves each vertex's location
-  // exactly as BuildView does, with the stand-in server one past the
-  // cluster's real ids for unknown locations.
-  void RefreshPlanGraph();
+  // Per-thread planning scratch (defined in partition_agent.cc).
+  struct PlanWorkspace;
+  // Freezes the current samples into this thread's workspace and resets its
+  // arena for a fresh plan. Sampled local vertices that are no longer active
+  // here are dropped; every vertex's location resolves as active here, else
+  // the location cache, else the last-seen destination, else a stand-in
+  // server one past the cluster's real ids.
+  PlanWorkspace& FreezePlan();
 
   Simulation* sim_;
   Cluster* cluster_;
@@ -120,21 +113,6 @@ class PartitionAgent {
   // location cache has evicted the entry). Updated per observed edge and
   // never iterated, so the open-addressing map keeps it off the heap.
   FlatHashMap<ActorId, ServerId> last_seen_;
-  // Reused across OnExchangeRequest calls so translating the wire request
-  // into the algorithm's struct recycles the candidate buffers (reference
-  // planning path only; the arena path reads the wire request directly).
-  ExchangeRequest exchange_scratch_;
-
-  // Persistent arena-planner state (use_arena_planner): each round the
-  // sampled edges refreeze into plan_graph_ in place and plan_arena_
-  // re-initializes over it, all buffers keeping their capacity — after
-  // warmup neither planning nor deciding allocates beyond wire payloads.
-  CsrGraph plan_graph_;
-  std::unique_ptr<RepartitionArena> plan_arena_;
-  std::vector<CsrEdge> plan_edges_;
-  std::vector<ServerId> plan_assignment_;
-  std::vector<VertexId> accepted_scratch_;
-  std::vector<VertexId> counter_scratch_;
 
   EventId round_timer_ = 0;
   EventId decay_timer_ = 0;

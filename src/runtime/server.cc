@@ -186,14 +186,14 @@ void Server::HandleControl(const Envelope& env, NodeId from) {
     return;
   }
   if (const auto* req = std::get_if<PartitionExchangeRequest>(&env.control)) {
-    if (partition_request_handler_) {
-      partition_request_handler_(from_server, *req);
+    if (partition_agent_ != nullptr) {
+      partition_agent_->OnExchangeRequest(from_server, *req);
     }
     return;
   }
   if (const auto* resp = std::get_if<PartitionExchangeResponse>(&env.control)) {
-    if (partition_response_handler_) {
-      partition_response_handler_(from_server, *resp);
+    if (partition_agent_ != nullptr) {
+      partition_agent_->OnExchangeResponse(from_server, *resp);
     }
     return;
   }
@@ -629,8 +629,8 @@ void Server::NoteAppSend(ActorId from, ActorId to, ServerId dest_server, bool re
     local_app_messages_++;
   }
   metrics_->CountAppMessage(remote);
-  if (edge_observer_) {
-    edge_observer_(from, to, dest_server);
+  if (partition_agent_ != nullptr) {
+    partition_agent_->ObserveEdge(from, to, dest_server);
   }
 }
 

@@ -45,6 +45,7 @@ namespace actop {
 
 class Cluster;
 class ClusterMetrics;
+class PartitionAgent;
 
 // How the directory places an actor that has never been activated. (After a
 // deactivation or migration, re-placement follows the paper's §4.3 rule:
@@ -181,25 +182,17 @@ class Server : public ThreadHost {
   void Crash();
 
   // --- Observability hooks (set by Cluster/agents) ---
-  // Invoked for every actor-to-actor message this server's actors send:
-  // (local actor, peer actor, destination server at send time).
-  using EdgeObserver = std::function<void(ActorId, ActorId, ServerId)>;
-  void set_edge_observer(EdgeObserver observer) { edge_observer_ = std::move(observer); }
+  // The server's partition agent (wired by the Cluster; null while
+  // partitioning is off). It observes every actor-to-actor message this
+  // server's actors send and receives the partition-protocol control
+  // messages.
+  void set_partition_agent(PartitionAgent* agent) { partition_agent_ = agent; }
 
   // Invoked at the origin server when an actor-to-actor call completes, with
   // the call round-trip latency and whether the callee was remote.
   using CallLatencyObserver = std::function<void(SimDuration, bool remote)>;
   void set_call_latency_observer(CallLatencyObserver observer) {
     call_latency_observer_ = std::move(observer);
-  }
-
-  // Partition-protocol control messages are dispatched to these handlers
-  // (wired by the Cluster to the server's PartitionAgent).
-  void set_partition_handlers(
-      std::function<void(ServerId, const PartitionExchangeRequest&)> on_request,
-      std::function<void(ServerId, const PartitionExchangeResponse&)> on_response) {
-    partition_request_handler_ = std::move(on_request);
-    partition_response_handler_ = std::move(on_response);
   }
 
   // Sends a runtime control message to another server (or loops back to this
@@ -448,10 +441,8 @@ class Server : public ThreadHost {
   // FlatHashMap is safe (see pending_calls_).
   FlatHashMap<uint64_t, std::shared_ptr<void>> open_call_contexts_;
 
-  EdgeObserver edge_observer_;
+  PartitionAgent* partition_agent_ = nullptr;
   CallLatencyObserver call_latency_observer_;
-  std::function<void(ServerId, const PartitionExchangeRequest&)> partition_request_handler_;
-  std::function<void(ServerId, const PartitionExchangeResponse&)> partition_response_handler_;
   uint64_t migrations_out_ = 0;
   uint64_t remote_app_messages_ = 0;
   uint64_t local_app_messages_ = 0;

@@ -1,13 +1,16 @@
 // RepartitionArena unit + property tests: CSR structural equivalence with
-// WeightedGraph, incremental cut-cost maintenance, Theorem 1 properties
+// WeightedGraph, edge-order independence of the in-place refreeze,
+// incremental cut-cost maintenance, Theorem 1 properties
 // (monotone cost decrease, balance preservation) for the k-way
 // generalization and the lazy-threshold baseline, policy smoke coverage,
 // and baked assignment digests (cross-stdlib determinism — the arena never
 // iterates an unordered container, so these must not move between
 // standard-library versions).
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -71,6 +74,77 @@ TEST(CsrGraphTest, IncludesIsolatedVertices) {
   ASSERT_EQ(csr.num_vertices(), 4);
   EXPECT_EQ(csr.DegreeOf(csr.IndexOf(5)), 0u);
   EXPECT_EQ(csr.DegreeOf(csr.IndexOf(1)), 1u);
+}
+
+// Directed edges with unique (src, dst) pairs and integer weights, in
+// (src, dst) order; sources and destinations overlap so some vertices carry
+// spans and others are destination-only.
+std::vector<CsrEdge> SortedUniqueEdges(uint64_t seed, int count) {
+  Rng rng(seed);
+  std::vector<CsrEdge> edges;
+  for (int i = 0; i < count; i++) {
+    edges.push_back(CsrEdge{static_cast<VertexId>(rng.NextInt(1, 60)),
+                            static_cast<VertexId>(rng.NextInt(30, 200)),
+                            static_cast<double>(rng.NextInt(1, 50))});
+  }
+  std::sort(edges.begin(), edges.end(), [](const CsrEdge& a, const CsrEdge& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const CsrEdge& a, const CsrEdge& b) {
+                            return a.src == b.src && a.dst == b.dst;
+                          }),
+              edges.end());
+  return edges;
+}
+
+void ExpectSameCsr(const CsrGraph& want, const CsrGraph& got) {
+  ASSERT_EQ(want.num_vertices(), got.num_vertices());
+  ASSERT_EQ(want.num_edge_slots(), got.num_edge_slots());
+  for (int32_t idx = 0; idx < want.num_vertices(); idx++) {
+    ASSERT_EQ(want.IdOf(idx), got.IdOf(idx));
+    ASSERT_EQ(got.IndexOf(got.IdOf(idx)), idx);
+    ASSERT_EQ(want.EdgeBegin(idx), got.EdgeBegin(idx));
+    ASSERT_EQ(want.EdgeEnd(idx), got.EdgeEnd(idx));
+  }
+  for (size_t e = 0; e < want.num_edge_slots(); e++) {
+    ASSERT_EQ(want.EdgeNeighbor(e), got.EdgeNeighbor(e)) << "slot " << e;
+    ASSERT_EQ(want.EdgeWeight(e), got.EdgeWeight(e)) << "slot " << e;
+  }
+}
+
+TEST(CsrGraphTest, RebuildFromShuffledEdgesMatchesSortedInput) {
+  for (uint64_t seed = 1; seed <= 5; seed++) {
+    const std::vector<CsrEdge> sorted = SortedUniqueEdges(seed, 400);
+    CsrGraph want;
+    want.RebuildFromEdgeList(sorted);
+    // Sorted input lays the edge list out verbatim: spans in ascending
+    // source id, each in ascending destination id.
+    ASSERT_EQ(want.num_edge_slots(), sorted.size());
+    size_t e = 0;
+    for (int32_t idx = 0; idx < want.num_vertices(); idx++) {
+      for (size_t slot = want.EdgeBegin(idx); slot < want.EdgeEnd(idx); slot++, e++) {
+        ASSERT_EQ(want.IdOf(idx), sorted[e].src);
+        ASSERT_EQ(want.IdOf(want.EdgeNeighbor(slot)), sorted[e].dst);
+        ASSERT_EQ(want.EdgeWeight(slot), sorted[e].weight);
+      }
+    }
+    ASSERT_EQ(e, sorted.size());
+
+    // One graph reused across rebuilds, first over an unrelated larger edge
+    // list, so stale buffers would show.
+    CsrGraph got;
+    got.RebuildFromEdgeList(SortedUniqueEdges(seed + 100, 900));
+    Rng rng(seed * 31);
+    for (int round = 0; round < 3; round++) {
+      std::vector<CsrEdge> shuffled = sorted;
+      for (size_t i = shuffled.size(); i > 1; i--) {
+        std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
+      }
+      got.RebuildFromEdgeList(shuffled);
+      ExpectSameCsr(want, got);
+    }
+  }
 }
 
 TEST(ArenaTest, InitialPlacementMatchesTestbed) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -119,6 +120,40 @@ TEST(SpaceSavingTest, DecayAllowsGraphChurn) {
   EXPECT_TRUE(ss.Contains(10));
   EXPECT_TRUE(ss.Contains(11));
   EXPECT_GT(ss.EstimateCount(10), ss.EstimateCount(1));
+}
+
+TEST(SpaceSavingTest, ForEachVisitsExactlyTheTrackedEntries) {
+  // Decay frees the slab slots of entries it drops and later observations
+  // reuse them; ForEach must skip the free ones and see every live entry
+  // once, as Entries() does.
+  SpaceSaving<int> ss(16);
+  auto expect_matches_entries = [&ss](int round) {
+    std::map<int, std::pair<uint64_t, uint64_t>> want;
+    for (const auto& e : ss.Entries()) {
+      want[e.key] = {e.count, e.error};
+    }
+    std::map<int, std::pair<uint64_t, uint64_t>> got;
+    size_t visits = 0;
+    ss.ForEach([&](const SpaceSaving<int>::Entry& e) {
+      got[e.key] = {e.count, e.error};
+      visits++;
+    });
+    EXPECT_EQ(visits, ss.size()) << "round " << round;
+    EXPECT_EQ(got, want) << "round " << round;
+  };
+  int fresh = 100;
+  for (int round = 0; round < 6; round++) {
+    for (int k = 0; k < 4; k++) {
+      ss.Observe(k, 8);
+    }
+    for (int i = 0; i < 8; i++) {
+      ss.Observe(fresh++);  // count 1: the next Decay drops it
+    }
+    expect_matches_entries(round);
+    ss.Decay();
+    EXPECT_EQ(ss.size(), 4u) << "round " << round;
+    expect_matches_entries(round);
+  }
 }
 
 TEST(SpaceSavingTest, ClearEmptiesSummary) {

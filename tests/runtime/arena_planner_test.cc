@@ -1,6 +1,7 @@
-// Differential proof for the PartitionAgent's arena planning backend
-// (PartitionAgentConfig::use_arena_planner): planning through the flat CSR
-// arena must make byte-identical decisions to the reference ordered planner.
+// Differential proof for the PartitionAgent's planner: planning through the
+// flat CSR arena must make byte-identical decisions to the reference ordered
+// planner (BuildPeerPlansOrdered / DecideExchangeOrdered), which stays here
+// as the oracle.
 //
 // Plan level: fig10a-shaped clustered graphs (the Halo game/player clique
 // structure) — for each server's LocalGraphView the arena path
@@ -12,8 +13,10 @@
 // agent's weights are Space-Saving sample counts), so sums are exact in
 // double regardless of summation order and scores compare with ==.
 //
-// End to end: two clusters differing only in the flag must land every actor
-// on the same server with the same migration count.
+// End to end: a partitioned cluster must land every actor where it landed
+// when the runtime still carried both planners and they agreed (a baked
+// placement digest), also after the thread's shared planning workspace was
+// used for a cluster of a different size.
 
 #include <algorithm>
 #include <cstdint>
@@ -36,7 +39,7 @@
 namespace actop {
 namespace {
 
-// Mirrors PartitionAgent::PlanRound's arena path exactly.
+// Mirrors PartitionAgent::FreezePlan + RunRound.
 std::vector<PeerPlan> ArenaPlansFor(const LocalGraphView& view, const PairwiseConfig& config,
                                     int cluster_servers) {
   const CsrGraph csr = CsrGraph::FromLocalView(view);
@@ -52,7 +55,7 @@ std::vector<PeerPlan> ArenaPlansFor(const LocalGraphView& view, const PairwiseCo
   return plans;
 }
 
-// Mirrors PartitionAgent::SampledOrder / PartitionTestbed::SampledMembers.
+// Mirrors PartitionTestbed::SampledMembers: sampled local vertices by id.
 std::vector<VertexId> AscendingKeys(const LocalGraphView& view) {
   std::vector<VertexId> order;
   order.reserve(view.adjacency.size());
@@ -152,8 +155,8 @@ TEST(ArenaPlannerTest, UnknownNeighborLocationsMatchReference) {
   }
 }
 
-// Mirrors PartitionAgent::OnExchangeRequest's arena path: the responder's
-// view frozen into a CSR, DecideOffer against the offered candidates.
+// Mirrors PartitionAgent::OnExchangeRequest: the responder's view frozen
+// into a CSR, DecideOffer against the offered candidates.
 void ExpectDecisionsEqual(const LocalGraphView& view, const ExchangeRequest& request,
                           const PairwiseConfig& config, int cluster_servers, uint64_t seed) {
   const ExchangeDecision ref =
@@ -271,17 +274,16 @@ TEST(ArenaPlannerTest, ExchangeDecisionsWithUnknownLocationsAndForeignVertices) 
   }
 }
 
-uint64_t PlacementDigest(bool use_arena) {
+uint64_t PlacementDigest(int servers) {
   Simulation sim;
   ClusterConfig cfg;
-  cfg.num_servers = 4;
+  cfg.num_servers = servers;
   cfg.seed = 7;
   cfg.enable_partitioning = true;
   cfg.partition.exchange_period = Seconds(2);
   cfg.partition.exchange_min_gap = Seconds(2);
   cfg.partition.pairwise.candidate_set_size = 64;
   cfg.partition.pairwise.balance_delta = 64;
-  cfg.partition.use_arena_planner = use_arena;
   Cluster cluster(&sim, cfg);
   RegisterTestActors(&cluster);
   cluster.StartOptimizers();
@@ -315,10 +317,23 @@ uint64_t PlacementDigest(bool use_arena) {
   return h;
 }
 
-TEST(ArenaPlannerTest, EndToEndDecisionsIdenticalAcrossBackends) {
-  // The strongest form of the differential: any plan divergence in any round
-  // on any server would desynchronize migrations and the final placement.
-  EXPECT_EQ(PlacementDigest(false), PlacementDigest(true));
+// The 4-server placement both planners produced, byte for byte, while the
+// runtime still shipped both: any plan divergence in any round on any
+// server would desynchronize migrations and move the final placement.
+constexpr uint64_t kFourServerDigest = 0x43124ea7050de23aULL;
+
+TEST(ArenaPlannerTest, EndToEndPlacementMatchesBakedDigest) {
+  EXPECT_EQ(PlacementDigest(4), kFourServerDigest);
+}
+
+TEST(ArenaPlannerTest, PlanningWorkspaceSurvivesServerCountChange) {
+  // Every agent on a thread plans in one shared workspace, whose arena is
+  // sized for the cluster's server count. An 8-server run in between must
+  // leave nothing behind that changes the next 4-server run's decisions.
+  EXPECT_EQ(PlacementDigest(4), kFourServerDigest);
+  const uint64_t eight = PlacementDigest(8);
+  EXPECT_NE(eight, kFourServerDigest);
+  EXPECT_EQ(PlacementDigest(4), kFourServerDigest);
 }
 
 }  // namespace

@@ -159,8 +159,9 @@ TEST(MemoryFootprint, PartitioningControlPlaneOverheadStaysBounded) {
               warm_per_actor, static_cast<unsigned long long>(phases.bytes_warmup));
 
   EXPECT_GT(phases.bytes_warmup, 0u);
-  // Measured 3442 B/actor: the 2196 base plus edge samplers, the persistent
-  // CSR plan graph, and exchange wire traffic.
+  // Measured 2786 B/actor: the 2196 base plus edge samplers, the planning
+  // workspace (one CSR plan graph and arena per thread, not per server),
+  // and exchange wire traffic.
   EXPECT_LT(warm_per_actor, 5200.0);
 }
 
