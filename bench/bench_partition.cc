@@ -23,11 +23,11 @@
 //                    plan toward q, DecideExchange on q (greedy joint subset
 //                    selection with both heaps) — Alg. 1 end to end.
 //
-// Each scenario reports events/sec, ns/event and — via the global
-// counting-allocator hook below — heap allocations per event in steady
-// state, plus speedup_vs_seed_impl. Output is line-oriented JSON exactly
-// like bench_engine so scripts/perf_gate.sh can compare runs with basic
-// text tools; see EXPERIMENTS.md ("Partition microbenchmark & perf gate").
+// Each scenario reports events/sec, ns/event and heap allocations per event
+// in steady state (bench/alloc_counter.cc), plus speedup_vs_seed_impl.
+// Output is the line-oriented JSON of bench/harness.h, exactly like
+// bench_engine, so scripts/perf_gate.sh can compare runs with basic text
+// tools; see EXPERIMENTS.md ("Partition microbenchmark & perf gate").
 //
 // Usage:
 //   bench_partition [--json=FILE] [--compare=FILE] [--gate]
@@ -40,19 +40,14 @@
 // below 1.5x (the acceptance floor is 2x on the reference machine; 1.5x
 // leaves headroom for noisy CI boxes while still catching a lost rewrite).
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <new>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/core/pairwise_partition.h"
@@ -60,85 +55,14 @@
 #include "src/core/space_saving.h"
 #include "src/core/space_saving_reference.h"
 
-// ---------------------------------------------------------------------------
-// Counting-allocator hook (same as bench_engine): every global new/delete in
-// this binary is counted. Scenarios reset the counters after setup/warmup so
-// the reported figures are steady-state allocations.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-// The replaced operators pair malloc with free by construction, but when GCC
-// inlines `operator delete` into STL container internals in this TU it
-// reports -Wmismatched-new-delete against the opaque replaced `operator new`
-// (a known false positive for counting allocators; bench_engine.cc only
-// escapes it because its containers live behind the runtime library).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-
 namespace actop {
 namespace {
 
-struct ScenarioResult {
-  std::string name;
-  uint64_t events = 0;    // operations driven through the optimized path
-  uint64_t wall_ns = 0;   // wall-clock for the optimized measured phase
-  uint64_t allocs = 0;    // heap allocations during the optimized phase
-  uint64_t bytes = 0;     // heap bytes during the optimized phase
-  uint64_t ref_wall_ns = 0;  // wall-clock for the seed-impl phase (same work)
-
-  double events_per_sec() const {
-    return wall_ns == 0 ? 0.0 : static_cast<double>(events) * 1e9 / static_cast<double>(wall_ns);
-  }
-  double ns_per_event() const {
-    return events == 0 ? 0.0 : static_cast<double>(wall_ns) / static_cast<double>(events);
-  }
-  double allocs_per_event() const {
-    return events == 0 ? 0.0 : static_cast<double>(allocs) / static_cast<double>(events);
-  }
-  double bytes_per_event() const {
-    return events == 0 ? 0.0 : static_cast<double>(bytes) / static_cast<double>(events);
-  }
-  // Both phases do identical work, so the speedup is the wall-clock ratio.
-  double seed_impl_speedup() const {
-    return wall_ns == 0 ? 0.0 : static_cast<double>(ref_wall_ns) / static_cast<double>(wall_ns);
-  }
-};
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
-
-void ResetAllocCounters() {
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_bytes.store(0, std::memory_order_relaxed);
-}
+using bench::AllocBytes;
+using bench::AllocCount;
+using bench::NowNs;
+using bench::ResetAllocCounters;
+using bench::ScenarioResult;
 
 uint64_t g_sink = 0;  // defeats dead-code elimination across scenarios
 
@@ -238,8 +162,8 @@ ScenarioResult RunObserveStream(double scale) {
   ResetAllocCounters();
   out.wall_ns = TimeObserves(&opt, keys, warm, ops);
   out.events = ops - warm;
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
   g_sink ^= opt.total_observed() + opt.size();
 
   SpaceSavingReference<uint64_t> ref(kCapacity);
@@ -285,8 +209,8 @@ ScenarioResult RunDecayChurn(double scale) {
   ResetAllocCounters();
   out.wall_ns = TimeDecayCycles(&opt, keys, cycles, kBurst);
   out.events = cycles * (kBurst + 1);
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
   g_sink ^= opt.total_observed() + opt.size();
 
   SpaceSavingReference<uint64_t> ref(kCapacity);
@@ -336,8 +260,8 @@ ScenarioResult RunPlanBuild(double scale) {
   ResetAllocCounters();
   out.wall_ns = TimePlanBuilds(opt_build, view, config, iterations);
   out.events = iterations * CountEdges(view);
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
 
   TimePlanBuilds(ref_build, view, config, kWarm);
   out.ref_wall_ns = TimePlanBuilds(ref_build, view, config, iterations);
@@ -432,62 +356,12 @@ ScenarioResult RunExchangeRound(double scale) {
   ResetAllocCounters();
   out.wall_ns = TimeExchangeRounds(opt_plan, opt_decide, p_view, q_view, config, rounds);
   out.events = rounds;
-  out.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
+  out.allocs = AllocCount();
+  out.bytes = AllocBytes();
 
   TimeExchangeRounds(ref_plan, ref_decide, p_view, q_view, config, kWarm);
   out.ref_wall_ns = TimeExchangeRounds(ref_plan, ref_decide, p_view, q_view, config, rounds);
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Output & comparison (format shared with bench_engine; see EXPERIMENTS.md)
-// ---------------------------------------------------------------------------
-
-std::string ScenarioJson(const ScenarioResult& r, double speedup, bool have_ref) {
-  std::ostringstream os;
-  os << "    {\"name\": \"" << r.name << "\", \"events\": " << r.events
-     << ", \"wall_ns\": " << r.wall_ns;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.0f", r.events_per_sec());
-  os << ", \"events_per_sec\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.2f", r.ns_per_event());
-  os << ", \"ns_per_event\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.4f", r.allocs_per_event());
-  os << ", \"allocs_per_event\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.1f", r.bytes_per_event());
-  os << ", \"bytes_per_event\": " << buf;
-  std::snprintf(buf, sizeof(buf), "%.3f", r.seed_impl_speedup());
-  os << ", \"speedup_vs_seed_impl\": " << buf;
-  if (have_ref) {
-    std::snprintf(buf, sizeof(buf), "%.3f", speedup);
-    os << ", \"speedup_vs_ref\": " << buf;
-  }
-  os << "}";
-  return os.str();
-}
-
-// Pulls `"key": <number>` out of a one-scenario-per-line JSON file for the
-// line whose "name" matches (same line-oriented contract as bench_engine).
-bool LookupRef(const std::string& ref_text, const std::string& name, const std::string& key,
-               double* value) {
-  std::istringstream in(ref_text);
-  std::string line;
-  const std::string name_tag = "\"name\": \"" + name + "\"";
-  const std::string key_tag = "\"" + key + "\": ";
-  while (std::getline(in, line)) {
-    const size_t at = line.find(name_tag);
-    if (at == std::string::npos) {
-      continue;
-    }
-    const size_t kat = line.find(key_tag);
-    if (kat == std::string::npos) {
-      return false;
-    }
-    *value = std::strtod(line.c_str() + kat + key_tag.size(), nullptr);
-    return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -496,48 +370,13 @@ bool LookupRef(const std::string& ref_text, const std::string& name, const std::
 int main(int argc, char** argv) {
   using namespace actop;
 
-  std::string json_path;
-  std::string compare_path;
-  bool gate = false;
-  double threshold = 0.10;
-  double scale = 1.0;
-  for (int i = 1; i < argc; i++) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--compare=", 0) == 0) {
-      compare_path = arg.substr(10);
-    } else if (arg == "--gate") {
-      gate = true;
-    } else if (arg.rfind("--threshold=", 0) == 0) {
-      threshold = std::strtod(arg.c_str() + 12, nullptr);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::strtod(arg.c_str() + 8, nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_partition [--json=FILE] [--compare=FILE] [--gate] "
-                   "[--threshold=0.10] [--scale=1.0]\n");
-      return 2;
-    }
+  bench::Harness harness("partition");
+  if (!harness.Parse(argc, argv)) {
+    return 2;
   }
-
-  std::string ref_text;
-  if (!compare_path.empty()) {
-    std::ifstream in(compare_path);
-    if (!in) {
-      std::fprintf(stderr, "bench_partition: cannot read reference %s\n", compare_path.c_str());
-      return 2;
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    ref_text = os.str();
-  }
-
-  std::vector<ScenarioResult> results;
-  results.push_back(RunObserveStream(scale));
-  results.push_back(RunDecayChurn(scale));
-  results.push_back(RunPlanBuild(scale));
-  results.push_back(RunExchangeRound(scale));
+  const double scale = harness.scale();
+  const std::vector<ScenarioResult> results = {RunObserveStream(scale), RunDecayChurn(scale),
+                                               RunPlanBuild(scale), RunExchangeRound(scale)};
 
   // Acceptance headline: geomean in-binary speedup over the two scenarios
   // the issue gates (observe-heavy sampling and the full exchange round).
@@ -551,65 +390,21 @@ int main(int argc, char** argv) {
   }
   gate_geomean = gate_terms > 0 ? std::pow(gate_geomean, 1.0 / gate_terms) : 0.0;
 
-  int regressions = 0;
-  std::ostringstream body;
-  body << "{\n  \"bench\": \"partition\",\n  \"schema_version\": 1,\n";
-#ifdef NDEBUG
-  body << "  \"assertions\": false,\n";
-#else
-  body << "  \"assertions\": true,\n";
-#endif
-  body << "  \"scale\": " << scale << ",\n  \"scenarios\": [\n";
-  for (size_t i = 0; i < results.size(); i++) {
-    const ScenarioResult& r = results[i];
-    double ref_eps = 0.0;
-    const bool have_ref =
-        !ref_text.empty() && LookupRef(ref_text, r.name, "events_per_sec", &ref_eps) &&
-        ref_eps > 0.0;
-    const double speedup = have_ref ? r.events_per_sec() / ref_eps : 0.0;
-    if (have_ref && speedup < 1.0 - threshold) {
-      regressions++;
-      std::fprintf(stderr, "PERF REGRESSION: %s %.0f events/s vs ref %.0f (x%.3f < %.3f)\n",
-                   r.name.c_str(), r.events_per_sec(), ref_eps, speedup, 1.0 - threshold);
-    }
-    body << ScenarioJson(r, speedup, have_ref);
-    body << (i + 1 < results.size() ? ",\n" : "\n");
-    const std::string suffix = have_ref ? " (x" + std::to_string(speedup) + " vs ref)" : "";
-    std::fprintf(stderr,
-                 "%-16s %12.0f events/s  %10.2f ns/event  %8.4f allocs/event  x%5.2f vs seed%s\n",
-                 r.name.c_str(), r.events_per_sec(), r.ns_per_event(), r.allocs_per_event(),
-                 r.seed_impl_speedup(), suffix.c_str());
-  }
-  body << "  ],\n";
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", gate_geomean);
-    body << "  \"geomean_speedup_vs_seed_impl\": " << buf << "\n";
-  }
-  body << "}\n";
+  const std::string text =
+      harness.Envelope(harness.ReportScenarios(results),
+                       {bench::FixedField("geomean_speedup_vs_seed_impl", gate_geomean, 3)});
   std::fprintf(stderr, "geomean speedup vs seed impls (observe_stream, exchange_round): x%.2f\n",
                gate_geomean);
   if (g_sink == 0xdeadbeef) {
     std::fprintf(stderr, "sink\n");
   }
 
-  const std::string text = body.str();
-  std::fputs(text.c_str(), stdout);
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << text;
-  }
   int failures = 0;
-  if (gate && regressions > 0) {
-    std::fprintf(stderr, "perf gate: %d scenario(s) regressed beyond %.0f%%\n", regressions,
-                 threshold * 100.0);
-    failures++;
-  }
-  if (gate && gate_geomean < 1.5) {
+  if (harness.gate() && gate_geomean < 1.5) {
     std::fprintf(stderr,
                  "perf gate: geomean speedup vs seed impls x%.2f below the 1.5x floor\n",
                  gate_geomean);
     failures++;
   }
-  return failures > 0 ? 1 : 0;
+  return harness.Finish(text, failures);
 }

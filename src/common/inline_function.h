@@ -1,21 +1,20 @@
-// Small-buffer-optimized move-only callable with an arbitrary signature —
-// the generalization of InlineTask (src/common/inline_task.h) to callables
-// that take arguments.
+// Small-buffer-optimized move-only callable with an arbitrary signature.
 //
-// The motivating user is the response-continuation path: every actor
-// sub-call carries a `void(const Response&)` continuation which the seed
-// stored as std::function. libstdc++ keeps captures inline only when they
-// are trivially copyable and at most 16 bytes, so the dominant capture
-// shapes — [CallContext*, shared_ptr<int> fan-out counter] (24 bytes) and
-// [call, counter, this] (32 bytes) — each cost a heap allocation per issued
-// call. InlineFunction stores any nothrow-movable callable of up to
-// InlineBytes inline regardless of trivial copyability; larger or
-// throwing-move callables (including wrapped std::functions from cold
-// paths) transparently fall back to the heap.
+// Two hot paths motivate it. Every event the engine dispatches, and every
+// SEDA stage continuation, is an InlineTask (the void() alias below); every
+// actor sub-call carries a `void(const Response&)` continuation. The seed
+// stored both as std::function, and libstdc++ keeps captures inline only when
+// they are trivially copyable and at most 16 bytes, so the dominant capture
+// shapes — [this, shared_ptr<Envelope>] (24 bytes, not trivially copyable),
+// [this, shared_ptr, small int] and [call, counter, this] (32 bytes) — each
+// cost a heap allocation. InlineFunction stores any nothrow-movable callable
+// of up to InlineBytes inline regardless of trivial copyability; larger or
+// throwing-move callables (including wrapped std::functions from cold paths)
+// transparently fall back to the heap.
 //
-// Differences from std::function, all deliberate (and identical to
-// InlineTask): move-only, no target introspection, invoking an empty
-// function is a checked failure rather than std::bad_function_call.
+// Differences from std::function, all deliberate: move-only (shared_ptr
+// captures are moved, never re-copied), no target introspection, invoking an
+// empty function is a checked failure rather than std::bad_function_call.
 
 #ifndef SRC_COMMON_INLINE_FUNCTION_H_
 #define SRC_COMMON_INLINE_FUNCTION_H_
@@ -106,7 +105,9 @@ class InlineFunction<R(Args...), InlineBytes> {
     void (*destroy)(void* storage) noexcept;
     bool heap;
     // Trivially copyable inline callables relocate via memcpy and need no
-    // destructor call (see InlineTask::Ops for the rationale).
+    // destructor call — the engine moves every task twice per event (into
+    // its slot, back out at dispatch), so skipping the indirect relocate /
+    // destroy calls for plain [ptr, int...] captures is a measurable win.
     bool trivial;
   };
 
@@ -166,6 +167,11 @@ class InlineFunction<R(Args...), InlineBytes> {
   // Pointer-aligned: callables needing stricter alignment take the heap path.
   alignas(void*) unsigned char storage_[kInlineBytes];
 };
+
+// The engine's event callback and the stages' continuations. Four machine
+// words fit [this + shared_ptr + int] and a moved-in std::function<void()>
+// (32 bytes on libstdc++), the two capture shapes that dominate the hot path.
+using InlineTask = InlineFunction<void(), 4 * sizeof(void*)>;
 
 }  // namespace actop
 

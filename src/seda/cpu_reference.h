@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/inline_task.h"
+#include "src/common/inline_function.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/sim/simulation.h"

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "src/common/inline_task.h"
+#include "src/common/inline_function.h"
 #include "src/common/ring_buffer.h"
 #include "src/common/sim_time.h"
 #include "src/seda/cpu.h"

@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/inline_task.h"
+#include "src/common/inline_function.h"
 #include "src/common/sim_time.h"
 
 namespace actop {

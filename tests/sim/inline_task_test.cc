@@ -1,4 +1,4 @@
-#include "src/common/inline_task.h"
+#include "src/common/inline_function.h"
 
 #include <gtest/gtest.h>
 
