@@ -6,7 +6,7 @@
 //
 //   steady_stream   H interleaved self-rescheduling event chains with a
 //                   typical 3-word lambda capture (the common case across
-//                   the runtime: [this, shared_ptr, small int]).
+//                   the runtime: [this, EnvelopePtr, small int]).
 //   cancel_heavy    a standing window of pending events with a
 //                   cancel+reschedule churn loop, the CpuModel::Reschedule
 //                   pattern (cancel the pending completion, schedule a new
@@ -40,7 +40,6 @@
 #include "bench/harness.h"
 #include "src/common/sim_time.h"
 #include "src/net/network.h"
-#include "src/runtime/envelope_pool.h"
 #include "src/runtime/message.h"
 #include "src/sim/simulation.h"
 
@@ -56,7 +55,7 @@ using bench::ScenarioResult;
 // ---------------------------------------------------------------------------
 // steady_stream: H interleaved self-rescheduling chains. The callback capture
 // is three machine words — the typical size across the runtime (e.g.
-// [this, shared_ptr<Envelope>] or [this, actor, token]).
+// [this, EnvelopePtr, epoch] or [this, actor, token]).
 // ---------------------------------------------------------------------------
 
 struct ChainCtx {
@@ -208,7 +207,7 @@ ScenarioResult RunPeriodicHeavy(double scale) {
 // the runtime's messaging path (envelope + delivery event).
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<Envelope> MakeBenchEnvelope() { return MakeEnvelope(); }
+constexpr int kRingNodes = 8;
 
 struct RingCtx {
   Simulation* sim = nullptr;
@@ -218,8 +217,27 @@ struct RingCtx {
   uint64_t budget = 0;
 };
 
+// One ring node: each delivery sends a fresh envelope to the next node.
+struct RingNode : Network::Endpoint {
+  RingCtx* ctx = nullptr;
+  int self = 0;
+
+  void OnDeliver(NodeId, uint32_t bytes, EnvelopePtr) override {
+    ctx->delivered++;
+    if (ctx->delivered >= ctx->budget) {
+      return;
+    }
+    EnvelopePtr next = MakeEnvelope();
+    next->kind = MessageKind::kCall;
+    next->target = MakeActorId(1, ctx->delivered);
+    next->payload_bytes = bytes;
+    next->created_at = ctx->sim->now();
+    const NodeId dest = ctx->nodes[static_cast<size_t>((self + 1) % kRingNodes)];
+    ctx->net->Send(ctx->nodes[static_cast<size_t>(self)], dest, bytes, std::move(next));
+  }
+};
+
 ScenarioResult RunNetPingPong(double scale) {
-  const int kNodes = 8;
   const int kInFlight = 64;
   ScenarioResult out;
   out.name = "net_ping_pong";
@@ -231,27 +249,17 @@ ScenarioResult RunNetPingPong(double scale) {
   ctx.net = &net;
   ctx.budget = static_cast<uint64_t>(800'000 * scale);
 
-  for (int i = 0; i < kNodes; i++) {
-    const int self = i;
-    ctx.nodes.push_back(net.AddNode([&ctx, self](NodeId, uint32_t bytes, std::shared_ptr<void>) {
-      ctx.delivered++;
-      if (ctx.delivered >= ctx.budget) {
-        return;
-      }
-      auto next = MakeBenchEnvelope();
-      next->kind = MessageKind::kCall;
-      next->target = MakeActorId(1, ctx.delivered);
-      next->payload_bytes = bytes;
-      next->created_at = ctx.sim->now();
-      const NodeId dest = ctx.nodes[static_cast<size_t>((self + 1) % kNodes)];
-      ctx.net->Send(ctx.nodes[static_cast<size_t>(self)], dest, bytes, std::move(next));
-    }));
+  RingNode ring[kRingNodes];
+  for (int i = 0; i < kRingNodes; i++) {
+    ring[i].ctx = &ctx;
+    ring[i].self = i;
+    ctx.nodes.push_back(net.AddNode(&ring[i]));
   }
   for (int m = 0; m < kInFlight; m++) {
-    auto env = MakeBenchEnvelope();
+    EnvelopePtr env = MakeEnvelope();
     env->kind = MessageKind::kCall;
     env->payload_bytes = 128;
-    net.Send(ctx.nodes[0], ctx.nodes[static_cast<size_t>(m % kNodes)], 128, std::move(env));
+    net.Send(ctx.nodes[0], ctx.nodes[static_cast<size_t>(m % kRingNodes)], 128, std::move(env));
   }
   // Warm up.
   const uint64_t warm = ctx.budget / 10;

@@ -5,7 +5,8 @@
 # toplevel CMakeLists maps to -fsanitize=thread) and runs the portion of the
 # tier-1 suite that exercises the sharded engine's worker threads: the
 # ShardedEngine unit tests (window barriers, rail cuts, exchange hooks), the
-# parallel scenario suite (four-shard fig10b equivalence and --threads=4
+# sharded network test (an envelope released on another shard's thread parks
+# in that thread's pool), the parallel scenario suite (four-shard fig10b equivalence and --threads=4
 # report determinism), and the chaos harness's parallel determinism + seed
 # sweep. The serial suites add nothing under TSan — they are single-threaded
 # by construction — so the default filter keeps the run minutes, not hours
@@ -44,5 +45,5 @@ elif [[ "${TSAN_FULL:-0}" == "1" ]]; then
   ctest --output-on-failure -j "$(nproc)" -LE perf
 else
   ctest --output-on-failure -j "$(nproc)" \
-    -R 'ShardedEngine|ScenarioParallel|ChaosDeterminism|ChaosParallelSeed'
+    -R 'ShardedEngine|NetworkSharded|ScenarioParallel|ChaosDeterminism|ChaosParallelSeed'
 fi

@@ -81,7 +81,9 @@ class Actor {
   virtual ~Actor() = default;
 
   // Handles one incoming call. `ctx` remains valid until Reply() is invoked;
-  // the runtime owns it.
+  // the runtime owns it. A server crash releases every unreplied context and
+  // discards the continuations still queued for it, so a continuation that
+  // runs always finds its context alive.
   virtual void OnCall(CallContext& ctx) = 0;
 };
 

@@ -5,16 +5,17 @@
 // actor sub-call carries a `void(const Response&)` continuation. The seed
 // stored both as std::function, and libstdc++ keeps captures inline only when
 // they are trivially copyable and at most 16 bytes, so the dominant capture
-// shapes — [this, shared_ptr<Envelope>] (24 bytes, not trivially copyable),
+// shapes — [this, EnvelopePtr, epoch] (24 bytes, not trivially copyable),
 // [this, shared_ptr, small int] and [call, counter, this] (32 bytes) — each
-// cost a heap allocation. InlineFunction stores any nothrow-movable callable
+// would cost a heap allocation. InlineFunction stores any nothrow-movable callable
 // of up to InlineBytes inline regardless of trivial copyability; larger or
 // throwing-move callables (including wrapped std::functions from cold paths)
 // transparently fall back to the heap.
 //
-// Differences from std::function, all deliberate: move-only (shared_ptr
-// captures are moved, never re-copied), no target introspection, invoking an
-// empty function is a checked failure rather than std::bad_function_call.
+// Differences from std::function, all deliberate: move-only (it can own an
+// EnvelopePtr, and shared_ptr captures are moved, never re-copied), no target
+// introspection, invoking an empty function is a checked failure rather than
+// std::bad_function_call.
 
 #ifndef SRC_COMMON_INLINE_FUNCTION_H_
 #define SRC_COMMON_INLINE_FUNCTION_H_

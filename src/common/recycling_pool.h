@@ -1,27 +1,26 @@
 // Recycling block cache for allocate_shared.
 //
 // std::make_shared<T> performs one heap allocation per object (the combined
-// object + control block). On the messaging hot path that is one allocation
-// per envelope, dominating the per-message cost once the event engine itself
-// is allocation-free. RecyclingBlockCache keeps freed combined blocks on a
-// free list and hands them back to the next allocate_shared of the same
-// type, so steady-state envelope traffic touches the allocator zero times.
+// object + control block). For an object that really is shared — the
+// fan-out counter a workload's N sub-call continuations all hold (see
+// src/workload/fanout_counter.h) — RecyclingBlockCache keeps freed combined
+// blocks on a free list and hands them back to the next allocate_shared of
+// the same type, so steady-state fan-outs touch the allocator zero times.
+// (Single-owner hot-path objects use src/common/object_pool.h instead.)
 //
 // The cache is intentionally dumb: it caches blocks of exactly one size (the
-// first size it ever sees — for a cache dedicated to one T via MakePooled,
-// that is always sizeof(combined block of T)). Other sizes pass through to
-// operator new/delete. Single-threaded, like everything else in the
-// simulator. The cache must outlive every shared_ptr allocated from it,
-// because the final reference drop returns the block to the cache.
+// first size it ever sees — for a cache dedicated to one T, that is always
+// sizeof(combined block of T)). Other sizes pass through to operator
+// new/delete. Not thread-safe: give each thread its own cache. The cache
+// must outlive every shared_ptr allocated from it, because the final
+// reference drop returns the block to the cache.
 
 #ifndef SRC_COMMON_RECYCLING_POOL_H_
 #define SRC_COMMON_RECYCLING_POOL_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
-#include <utility>
 #include <vector>
 
 namespace actop {
@@ -71,35 +70,6 @@ class RecyclingBlockCache {
   uint64_t fresh_ = 0;
   uint64_t recycled_ = 0;
 };
-
-// Minimal allocator adapter so allocate_shared routes its combined-block
-// allocation through a RecyclingBlockCache.
-template <typename U>
-struct RecyclingAllocator {
-  using value_type = U;
-
-  explicit RecyclingAllocator(RecyclingBlockCache* cache) : cache(cache) {}
-  template <typename V>
-  RecyclingAllocator(const RecyclingAllocator<V>& other) : cache(other.cache) {}  // NOLINT
-
-  U* allocate(size_t n) { return static_cast<U*>(cache->Allocate(n * sizeof(U))); }
-  void deallocate(U* p, size_t n) { cache->Release(p, n * sizeof(U)); }
-
-  template <typename V>
-  bool operator==(const RecyclingAllocator<V>& other) const {
-    return cache == other.cache;
-  }
-
-  RecyclingBlockCache* cache;
-};
-
-// allocate_shared<T> through `cache`. The object is freshly constructed every
-// time — only the memory is recycled, so pooled objects are indistinguishable
-// from make_shared ones.
-template <typename T, typename... Args>
-std::shared_ptr<T> MakePooled(RecyclingBlockCache& cache, Args&&... args) {
-  return std::allocate_shared<T>(RecyclingAllocator<T>(&cache), std::forward<Args>(args)...);
-}
 
 }  // namespace actop
 

@@ -6,11 +6,14 @@
 // queuing, so a simple latency+bandwidth model preserves the local/remote
 // asymmetry that drives the results.
 //
-// The network layer is payload-agnostic: messages are type-erased shared
-// pointers, and the declared byte size (used for the bandwidth term and for
-// serialization-cost modeling at the endpoints) travels alongside.
+// Messages are runtime Envelopes owned by exactly one EnvelopePtr: Send takes
+// the handle by move, the network holds it while the message is on the wire,
+// and delivery moves it into the destination Endpoint. A message the fault
+// injector drops is released on the spot (back to the envelope pool). The
+// declared byte size (used for the bandwidth term and for serialization-cost
+// modeling at the endpoints) travels alongside.
 //
-// Hot path: each in-flight message parks its payload and routing fields in a
+// Hot path: each in-flight message parks its envelope and routing fields in a
 // slab slot so the delivery event's capture is just [this, shard, slot] —
 // small enough to stay inline in the engine's InlineTask, making Send
 // allocation-free at steady state (slots are recycled through a free list).
@@ -45,15 +48,13 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/ids.h"
 #include "src/common/sim_time.h"
+#include "src/runtime/message.h"
 #include "src/sim/sharded_engine.h"
 #include "src/sim/simulation.h"
 
 namespace actop {
-
-// Index of a node attached to the network.
-using NodeId = int32_t;
-inline constexpr NodeId kNoNode = -1;
 
 struct NetworkConfig {
   SimDuration one_way_latency = Micros(250);
@@ -70,7 +71,21 @@ struct FaultDecision {
 
 class Network {
  public:
-  using DeliverFn = std::function<void(NodeId from, uint32_t bytes, std::shared_ptr<void> msg)>;
+  // A node's receiving side. OnDeliver runs on the node's shard, from the
+  // event loop, once per message addressed to the node; the endpoint becomes
+  // the envelope's owner. Endpoints must outlive the network's traffic.
+  class Endpoint {
+   public:
+    Endpoint() = default;
+    Endpoint(const Endpoint&) = delete;  // the network holds its address
+    Endpoint& operator=(const Endpoint&) = delete;
+
+    virtual void OnDeliver(NodeId from, uint32_t bytes, EnvelopePtr msg) = 0;
+
+   protected:
+    ~Endpoint() = default;
+  };
+
   // Inspects a message about to be sent and decides its fate. The injector
   // sees every message (application and control, server and client links).
   // `src_shard` is the shard issuing the send (0 in serial mode) and `now`
@@ -92,18 +107,14 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Registers a node on shard 0 (serial mode: the only shard); `deliver` is
-  // invoked (via the event queue) for each message addressed to it. Returns
-  // the node's id.
-  NodeId AddNode(DeliverFn deliver) { return AddNode(std::move(deliver), 0); }
-
-  // Registers a node on the given shard. Its handler runs on that shard's
-  // event loop. Setup-time only.
-  NodeId AddNode(DeliverFn deliver, int shard);
+  // Registers a node on the given shard (serial mode: shard 0, the only
+  // one); `endpoint` receives every message addressed to it, on that shard's
+  // event loop. Returns the node's id. Setup-time only.
+  NodeId AddNode(Endpoint* endpoint, int shard = 0);
 
   // Sends a message of the given (modeled) size from `from` to `to`. Must be
   // called from `from`'s shard (serial mode: trivially true).
-  void Send(NodeId from, NodeId to, uint32_t bytes, std::shared_ptr<void> msg);
+  void Send(NodeId from, NodeId to, uint32_t bytes, EnvelopePtr msg);
 
   // Installs (or, with nullptr, removes) the chaos fault injector.
   // Coordinator context only (setup, rail tasks).
@@ -124,7 +135,7 @@ class Network {
   // One message on the wire. Slots recycle through a free list threaded
   // over free_next.
   struct InFlight {
-    std::shared_ptr<void> msg;
+    EnvelopePtr msg;
     NodeId from = kNoNode;
     uint32_t bytes = 0;
     uint32_t free_next = kNilIndex;
@@ -140,7 +151,7 @@ class Network {
     NodeId from = kNoNode;
     NodeId to = kNoNode;
     uint32_t bytes = 0;
-    std::shared_ptr<void> msg;
+    EnvelopePtr msg;
   };
 
   // Per-shard network state. Cacheline-aligned: lanes for different shards
@@ -174,8 +185,7 @@ class Network {
     std::atomic<uint32_t> count{0};
   };
 
-  uint32_t AcquireSlot(Lane& lane, NodeId from, NodeId to, uint32_t bytes,
-                       std::shared_ptr<void> msg);
+  uint32_t AcquireSlot(Lane& lane, NodeId from, NodeId to, uint32_t bytes, EnvelopePtr msg);
   void Deliver(int shard, uint32_t slot);
   // Engine exchange hook: runs on shard `dst`'s worker at the window
   // barrier; merges the registered inbound outboxes into dst's staged run
@@ -195,7 +205,7 @@ class Network {
 
   ShardedEngine* engine_ = nullptr;  // null in serial mode
   NetworkConfig config_;
-  std::vector<DeliverFn> nodes_;
+  std::vector<Endpoint*> nodes_;
   std::vector<int32_t> node_shard_;
   std::vector<Lane> lanes_;
   // outboxes_[src * shards + dst], dst != src. Written by src's worker

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/runtime/envelope_pool.h"
 #include "src/runtime/message.h"
 
 namespace actop {
@@ -18,9 +17,7 @@ ClientPool::ClientPool(Simulation* sim, Cluster* cluster, ClientConfig config, T
   ACTOP_CHECK(cluster != nullptr);
   ACTOP_CHECK(target_fn_ != nullptr);
   ACTOP_CHECK(config_.request_rate > 0.0);
-  node_ = cluster_->AddClientNode([this](NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-    OnDeliver(from, bytes, std::move(msg));
-  });
+  node_ = cluster_->AddClientNode(this);
   sim_->SchedulePeriodic(Seconds(1), [this] { SweepTimeouts(); });
 }
 
@@ -83,13 +80,13 @@ void ClientPool::SendCall(ActorId target, MethodId method) {
   // Requests enter through a random gateway server.
   const auto gateway = static_cast<ServerId>(
       rng_.NextBounded(static_cast<uint64_t>(cluster_->num_servers())));
-  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), env->payload_bytes, env);
+  const uint32_t bytes = env->payload_bytes;  // read before the move below
+  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), bytes, std::move(env));
 }
 
-void ClientPool::OnDeliver(NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
+void ClientPool::OnDeliver(NodeId from, uint32_t bytes, EnvelopePtr env) {
   (void)from;
   (void)bytes;
-  auto env = std::static_pointer_cast<Envelope>(msg);
   ACTOP_CHECK(env->kind == MessageKind::kResponse);
   const SimTime* sent_at = pending_.Find(env->call_id.seq);
   if (sent_at == nullptr) {
@@ -115,9 +112,7 @@ DirectClient::DirectClient(Simulation* sim, Cluster* cluster, uint64_t seed)
     : sim_(sim), cluster_(cluster), rng_(seed) {
   ACTOP_CHECK(sim != nullptr);
   ACTOP_CHECK(cluster != nullptr);
-  node_ = cluster_->AddClientNode([this](NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-    OnDeliver(from, bytes, std::move(msg));
-  });
+  node_ = cluster_->AddClientNode(this);
 }
 
 void DirectClient::Call(ActorId target, MethodId method, uint64_t app_data, uint32_t bytes,
@@ -137,13 +132,12 @@ void DirectClient::Call(ActorId target, MethodId method, uint64_t app_data, uint
   }
   const auto gateway = static_cast<ServerId>(
       rng_.NextBounded(static_cast<uint64_t>(cluster_->num_servers())));
-  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), env->payload_bytes, env);
+  cluster_->network().Send(node_, cluster_->NodeOfServer(gateway), bytes, std::move(env));
 }
 
-void DirectClient::OnDeliver(NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
+void DirectClient::OnDeliver(NodeId from, uint32_t bytes, EnvelopePtr env) {
   (void)from;
   (void)bytes;
-  auto env = std::static_pointer_cast<Envelope>(msg);
   auto it = pending_.find(env->call_id.seq);
   if (it == pending_.end()) {
     return;

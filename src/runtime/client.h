@@ -30,7 +30,7 @@ struct ClientConfig {
   uint64_t seed = 7;
 };
 
-class ClientPool {
+class ClientPool : public Network::Endpoint {
  public:
   // Picks the target (actor, method) for the next request. Returning false
   // skips this arrival (e.g. no eligible actor yet).
@@ -63,7 +63,7 @@ class ClientPool {
   void ScheduleNextArrival();
   void IssueRequest();
   void SendCall(ActorId target, MethodId method);
-  void OnDeliver(NodeId from, uint32_t bytes, std::shared_ptr<void> msg);
+  void OnDeliver(NodeId from, uint32_t bytes, EnvelopePtr env) override;
   void SweepTimeouts();
 
   Simulation* sim_;
@@ -90,7 +90,7 @@ class ClientPool {
 
 // A client node for directed (non-rate-based) calls: used by workload
 // drivers (e.g. Halo's matchmaking service) to invoke actors on demand.
-class DirectClient {
+class DirectClient : public Network::Endpoint {
  public:
   DirectClient(Simulation* sim, Cluster* cluster, uint64_t seed);
 
@@ -99,7 +99,7 @@ class DirectClient {
             std::function<void(const Response&)> on_response);
 
  private:
-  void OnDeliver(NodeId from, uint32_t bytes, std::shared_ptr<void> msg);
+  void OnDeliver(NodeId from, uint32_t bytes, EnvelopePtr env) override;
 
   Simulation* sim_;
   Cluster* cluster_;

@@ -40,12 +40,7 @@ void Cluster::Init() {
     Simulation* shard_sim = engine_ == nullptr ? sim_ : &engine_->shard(shard);
     auto server = std::make_unique<Server>(shard_sim, this, static_cast<ServerId>(i),
                                            config_.server, rng_.NextU64());
-    Server* raw = server.get();
-    const NodeId node = network_->AddNode(
-        [raw](NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-          raw->OnNetworkMessage(from, bytes, std::move(msg));
-        },
-        shard);
+    const NodeId node = network_->AddNode(server.get(), shard);
     ACTOP_CHECK(node == static_cast<NodeId>(i));
     server->set_node(node);
     server->set_shard(shard);
@@ -122,8 +117,8 @@ ServerId Cluster::ServerOfNode(NodeId node) const {
   return kNoServer;
 }
 
-NodeId Cluster::AddClientNode(Network::DeliverFn deliver) {
-  return network_->AddNode(std::move(deliver), 0);
+NodeId Cluster::AddClientNode(Network::Endpoint* endpoint) {
+  return network_->AddNode(endpoint, 0);
 }
 
 Actor* Cluster::GetOrCreateActor(ActorId actor, int shard) {

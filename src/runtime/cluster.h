@@ -112,7 +112,7 @@ class Cluster {
   NodeId NodeOfServer(ServerId id) const;
   ServerId ServerOfNode(NodeId node) const;  // kNoServer for client nodes
   // Client nodes attach to shard 0 (the driver shard).
-  NodeId AddClientNode(Network::DeliverFn deliver);
+  NodeId AddClientNode(Network::Endpoint* endpoint);
 
   // --- Actor state store ---
   // Returns the application object for `actor`, creating it on first use.

@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "src/common/ids.h"
+#include "src/common/object_pool.h"
 #include "src/common/sim_time.h"
 #include "src/core/pairwise_partition.h"
-#include "src/net/network.h"
 
 namespace actop {
 
@@ -123,7 +123,7 @@ struct Envelope {
 
   // Returns every field to its default-constructed value while preserving
   // heap capacity inside the control payload. Called by the envelope pool
-  // when an envelope is recycled (see src/runtime/envelope_pool.h): a reused
+  // when an envelope is recycled (see src/common/object_pool.h): a reused
   // envelope must be indistinguishable from a fresh one to its next user —
   // kind, hops, via_network, created_at and the control variant's *values*
   // are all reset — but the partition-exchange vectors keep their capacity
@@ -158,6 +158,14 @@ struct Envelope {
     }
   }
 };
+
+// Sole owner of one message. Every hop — network, SEDA stage, mailbox,
+// parked-call list — takes the envelope by move; dropping the handle resets
+// the envelope and parks it in the releasing thread's envelope pool.
+using EnvelopePtr = Pooled<Envelope>;
+
+// A pooled envelope with every field at its default-constructed value.
+inline EnvelopePtr MakeEnvelope() { return AcquirePooled<Envelope>(); }
 
 }  // namespace actop
 

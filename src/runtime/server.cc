@@ -5,32 +5,33 @@
 
 #include "src/common/check.h"
 #include "src/runtime/cluster.h"
-#include "src/runtime/envelope_pool.h"
 
 namespace actop {
 
 namespace {
 const char* const kStageNames[Server::kNumStages] = {"receive", "worker", "server_sender",
                                                      "client_sender"};
-
-// Combined object+control-block cache for ServerCallContext: one context is
-// created per delivered call, so recycling the make_shared block keeps the
-// turn-dispatch path off the allocator. thread_local: each shard worker gets
-// its own cache (a context is created and destroyed on the same shard's
-// events, so blocks never migrate threads; outlives every simulation).
-RecyclingBlockCache& CallContextBlockCache() {
-  thread_local RecyclingBlockCache cache;
-  return cache;
-}
 }  // namespace
 
-// Concrete CallContext bound to one delivered call. Kept alive by shared_ptr
-// captured in the actor's continuations until Reply() runs.
-class ServerCallContext : public CallContext,
-                          public std::enable_shared_from_this<ServerCallContext> {
+// Concrete CallContext bound to one delivered call; it owns the call's
+// envelope. Pooled (one context per delivered call, so recycling keeps the
+// turn-dispatch path off the allocator): StartTurn owns it for the turn, and
+// a context not replied to by then moves into the server's
+// open_call_contexts_ until Reply() runs from a sub-call continuation.
+class ServerCallContext : public CallContext {
  public:
-  ServerCallContext(Server* server, std::shared_ptr<Envelope> call)
-      : server_(server), call_(std::move(call)) {}
+  void Bind(Server* server, EnvelopePtr call) {
+    server_ = server;
+    call_ = std::move(call);
+  }
+
+  // Pool reset: releases the call envelope.
+  void ResetForReuse() {
+    server_ = nullptr;
+    call_.reset();
+    replied_ = false;
+    extra_compute_ = 0;
+  }
 
   ActorId self() const override { return call_->target; }
   MethodId method() const override { return call_->method; }
@@ -56,10 +57,10 @@ class ServerCallContext : public CallContext,
   void Reply(uint32_t payload_bytes) override {
     ACTOP_CHECK(!replied_);
     replied_ = true;
-    // Keep *this alive until this frame returns even though the server drops
-    // its retaining reference now.
-    std::shared_ptr<void> keep_alive = server_->ReleaseContext(this);
     server_->CompleteReply(self(), *call_, payload_bytes);
+    // Last act: a context the server retained past its turn goes back to the
+    // pool here (a context replied to within its turn is not in the map).
+    server_->open_call_contexts_.Erase(reinterpret_cast<uintptr_t>(this));
   }
 
   void AddCompute(SimDuration extra) override {
@@ -75,8 +76,8 @@ class ServerCallContext : public CallContext,
   }
 
  private:
-  Server* server_;
-  std::shared_ptr<Envelope> call_;
+  Server* server_ = nullptr;
+  EnvelopePtr call_;
   bool replied_ = false;
   SimDuration extra_compute_ = 0;
 };
@@ -138,8 +139,7 @@ SimDuration Server::SerializeCost(uint32_t bytes) {
 // Receive path
 // ---------------------------------------------------------------------------
 
-void Server::OnNetworkMessage(NodeId from, uint32_t bytes, std::shared_ptr<void> msg) {
-  auto env = std::static_pointer_cast<Envelope>(msg);
+void Server::OnDeliver(NodeId from, uint32_t bytes, EnvelopePtr env) {
   env->via_network = true;
   SimDuration compute = DeserializeCost(bytes);
   if (env->kind == MessageKind::kControl) {
@@ -147,13 +147,13 @@ void Server::OnNetworkMessage(NodeId from, uint32_t bytes, std::shared_ptr<void>
   }
   StageEvent ev;
   ev.compute = compute;
-  ev.done = [this, env = std::move(env), from] {
+  ev.done = [this, env = std::move(env), from]() mutable {
     switch (env->kind) {
       case MessageKind::kCall:
-        RouteCall(env);
+        RouteCall(std::move(env));
         break;
       case MessageKind::kResponse:
-        HandleResponse(env);
+        HandleResponse(std::move(env));
         break;
       case MessageKind::kControl:
         HandleControl(*env, from);
@@ -203,7 +203,7 @@ void Server::HandleControl(const Envelope& env, NodeId from) {
 // Call routing & activation
 // ---------------------------------------------------------------------------
 
-void Server::RouteCall(std::shared_ptr<Envelope> env) {
+void Server::RouteCall(EnvelopePtr env) {
   const ActorId target = env->target;
   if (activations_.Contains(target)) {
     DeliverLocalCall(std::move(env));
@@ -221,7 +221,7 @@ void Server::RouteCall(std::shared_ptr<Envelope> env) {
   ResolveViaDirectory(std::move(env));
 }
 
-void Server::ResolveViaDirectory(std::shared_ptr<Envelope> env) {
+void Server::ResolveViaDirectory(EnvelopePtr env) {
   const ActorId target = env->target;
   auto [park_it, inserted] = parked_calls_.try_emplace(target);
   ParkedCalls& parked = park_it->second;
@@ -316,7 +316,7 @@ void Server::OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token) {
   // under this same key). Draining a moved-out local and erasing the map
   // entry first keeps that re-entry safe; iterating the live map here would
   // be invalidated by it.
-  std::vector<std::shared_ptr<Envelope>> envs = std::move(it->second.entries);
+  std::vector<EnvelopePtr> envs = std::move(it->second.entries);
   parked_calls_.erase(it);
   for (auto& env : envs) {
     if (owner == id_) {
@@ -329,7 +329,7 @@ void Server::OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token) {
   parked_entry_pool_.push_back(std::move(envs));
 }
 
-void Server::ActivateAndDeliver(std::shared_ptr<Envelope> env, uint64_t token) {
+void Server::ActivateAndDeliver(EnvelopePtr env, uint64_t token) {
   const ActorId target = env->target;
   if (!activations_.Contains(target)) {
     Activation& act = activations_.Create(target);
@@ -340,13 +340,13 @@ void Server::ActivateAndDeliver(std::shared_ptr<Envelope> env, uint64_t token) {
   DeliverLocalCall(std::move(env));
 }
 
-void Server::ForwardCall(std::shared_ptr<Envelope> env, ServerId dest) {
+void Server::ForwardCall(EnvelopePtr env, ServerId dest) {
   ACTOP_CHECK(dest != id_);
   env->hops++;
   SendToServer(dest, std::move(env));
 }
 
-void Server::DeliverLocalCall(std::shared_ptr<Envelope> env) {
+void Server::DeliverLocalCall(EnvelopePtr env) {
   Activation* found = activations_.Find(env->target);
   ACTOP_CHECK(found != nullptr);
   Activation& act = *found;
@@ -358,7 +358,7 @@ void Server::DeliverLocalCall(std::shared_ptr<Envelope> env) {
   StartTurn(target, std::move(env));
 }
 
-void Server::StartTurn(ActorId actor, std::shared_ptr<Envelope> env) {
+void Server::StartTurn(ActorId actor, EnvelopePtr env) {
   Activation* found = activations_.Find(actor);
   ACTOP_CHECK(found != nullptr);
   Activation& act = *found;
@@ -383,7 +383,7 @@ void Server::StartTurn(ActorId actor, std::shared_ptr<Envelope> env) {
   ev.compute = compute;
   ev.blocking = costs.handler_blocking;
   const uint64_t epoch = crash_epoch_;
-  // [this, env, epoch] is 32 bytes — the actor id is re-read from the
+  // [this, env, epoch] is 24 bytes — the actor id is re-read from the
   // envelope so the capture stays inline in the event engine.
   ev.done = [this, env = std::move(env), epoch]() mutable {
     const ActorId actor = env->target;
@@ -394,14 +394,16 @@ void Server::StartTurn(ActorId actor, std::shared_ptr<Envelope> env) {
     // Hoist the instance pointer: OnCall may activate other actors, which
     // can grow the activation slab and invalidate `act`.
     Actor* instance = act->instance;
-    auto ctx = MakePooled<ServerCallContext>(CallContextBlockCache(), this, std::move(env));
+    Pooled<ServerCallContext> ctx = AcquirePooled<ServerCallContext>();
+    ctx->Bind(this, std::move(env));
     instance->OnCall(*ctx);
-    if (!ctx->replied()) {
-      // The actor will Reply from a sub-call continuation; keep the context
-      // alive until then.
-      RetainContext(ctx.get(), ctx);
-    }
     const SimDuration extra = ctx->take_extra_compute();
+    if (!ctx->replied()) {
+      // The actor will Reply from a sub-call continuation; the server owns
+      // the context until then.
+      const auto key = reinterpret_cast<uintptr_t>(ctx.get());
+      open_call_contexts_.Insert(key, std::move(ctx));
+    }
     if (extra > 0) {
       StageEvent extra_ev;
       extra_ev.compute = extra;
@@ -427,7 +429,7 @@ void Server::FinishTurn(ActorId actor) {
   ACTOP_CHECK(act.busy);
   act.busy = false;
   if (!act.mailbox.empty()) {
-    std::shared_ptr<Envelope> next = std::move(act.mailbox.front());
+    EnvelopePtr next = std::move(act.mailbox.front());
     act.mailbox.pop_front();
     StartTurn(actor, std::move(next));
   }
@@ -509,7 +511,7 @@ void Server::CompleteReply(ActorId from_actor, const Envelope& original_call, ui
   }
 }
 
-void Server::HandleResponse(std::shared_ptr<Envelope> env) {
+void Server::HandleResponse(EnvelopePtr env) {
   ACTOP_CHECK(env->call_id.node == node_);
   PendingCall* found = pending_calls_.Find(env->call_id.seq);
   if (found == nullptr) {
@@ -557,10 +559,15 @@ uint32_t Server::AcquireResponseSlot(ResponseFn fn, const Response& response) {
   PendingResponse& parked = response_slots_[slot];
   parked.fn = std::move(fn);
   parked.response = response;
+  parked.epoch = crash_epoch_;
   return slot;
 }
 
 void Server::RunResponseSlot(uint32_t slot) {
+  if (response_slots_[slot].epoch != crash_epoch_) {
+    FreeResponseSlot(slot);  // server crashed while the continuation was queued
+    return;
+  }
   // Move out and free the slot before invoking: the continuation may issue
   // calls whose responses acquire new slots (growing the slab vector).
   ResponseFn fn = std::move(response_slots_[slot].fn);
@@ -580,24 +587,24 @@ void Server::FreeResponseSlot(uint32_t slot) {
 // Sending
 // ---------------------------------------------------------------------------
 
-void Server::SendToServer(ServerId dest, std::shared_ptr<Envelope> env) {
+void Server::SendToServer(ServerId dest, EnvelopePtr env) {
   ACTOP_CHECK(dest != id_);
   const uint32_t bytes = env->kind == MessageKind::kControl ? config_.control_bytes
                                                             : env->payload_bytes;
   StageEvent ev;
   ev.compute = SerializeCost(bytes);
-  ev.done = [this, dest, bytes, env = std::move(env)] {
-    cluster_->network().Send(node_, cluster_->NodeOfServer(dest), bytes, env);
+  ev.done = [this, dest, bytes, env = std::move(env)]() mutable {
+    cluster_->network().Send(node_, cluster_->NodeOfServer(dest), bytes, std::move(env));
   };
   stages_[kServerSender]->Enqueue(std::move(ev));
 }
 
-void Server::SendToClient(NodeId client_node, std::shared_ptr<Envelope> env) {
+void Server::SendToClient(NodeId client_node, EnvelopePtr env) {
   const uint32_t bytes = env->payload_bytes;
   StageEvent ev;
   ev.compute = SerializeCost(bytes);
-  ev.done = [this, client_node, bytes, env = std::move(env)] {
-    cluster_->network().Send(node_, client_node, bytes, env);
+  ev.done = [this, client_node, bytes, env = std::move(env)]() mutable {
+    cluster_->network().Send(node_, client_node, bytes, std::move(env));
   };
   stages_[kClientSender]->Enqueue(std::move(ev));
 }
@@ -609,7 +616,7 @@ void Server::SendControl(ServerId dest, ControlPayload payload) {
     auto env = MakeEnvelope();
     env->kind = MessageKind::kControl;
     env->control = std::move(payload);
-    sim_->ScheduleAfter(0, [this, env] { HandleControl(*env, node_); });
+    sim_->ScheduleAfter(0, [this, env = std::move(env)] { HandleControl(*env, node_); });
     return;
   }
   auto env = MakeEnvelope();
@@ -712,21 +719,6 @@ void Server::Crash() {
   open_call_contexts_.Clear();
   pending_unregisters_.clear();
   location_cache_.Clear();
-}
-
-void Server::RetainContext(void* key, std::shared_ptr<void> context) {
-  open_call_contexts_.Insert(reinterpret_cast<uintptr_t>(key), std::move(context));
-}
-
-std::shared_ptr<void> Server::ReleaseContext(void* key) {
-  const auto k = reinterpret_cast<uintptr_t>(key);
-  std::shared_ptr<void>* found = open_call_contexts_.Find(k);
-  if (found == nullptr) {
-    return nullptr;
-  }
-  std::shared_ptr<void> out = std::move(*found);
-  open_call_contexts_.Erase(k);
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ namespace actop {
 class Cluster;
 class ClusterMetrics;
 class PartitionAgent;
+class ServerCallContext;
 
 // How the directory places an actor that has never been activated. (After a
 // deactivation or migration, re-placement follows the paper's §4.3 rule:
@@ -107,7 +108,7 @@ struct ServerConfig {
   SimDuration timeout_sweep_period = Seconds(1);
 };
 
-class Server : public ThreadHost {
+class Server : public ThreadHost, public Network::Endpoint {
  public:
   enum StageIndex : int {
     kReceive = 0,
@@ -135,8 +136,9 @@ class Server : public ThreadHost {
   int shard() const { return shard_; }
   void set_metrics(ClusterMetrics* metrics) { metrics_ = metrics; }
 
-  // Network delivery entry point (wired by the Cluster).
-  void OnNetworkMessage(NodeId from, uint32_t bytes, std::shared_ptr<void> msg);
+  // Network delivery entry point (the Cluster registers the server as its
+  // node's endpoint).
+  void OnDeliver(NodeId from, uint32_t bytes, EnvelopePtr msg) override;
 
   // ThreadHost:
   int num_stages() override { return kNumStages; }
@@ -177,8 +179,10 @@ class Server : public ThreadHost {
   void ForceActivateForTest(ActorId actor);
 
   // --- Crash injection ---
-  // Drops every activation, mailbox, parked message and pending call.
-  // In-flight calls from other servers eventually fail via timeouts.
+  // Drops every activation, mailbox, parked message, pending call and open
+  // call context; turns and response continuations already queued are
+  // discarded when they come up. In-flight calls from other servers
+  // eventually fail via timeouts.
   void Crash();
 
   // --- Observability hooks (set by Cluster/agents) ---
@@ -216,7 +220,7 @@ class Server : public ThreadHost {
     int open_contexts = 0;      // delivered calls not yet replied to
     int pending_subcalls = 0;   // sub-calls awaiting a response
     uint64_t dir_token = 0;     // token of the directory registration backing us
-    RingBuffer<std::shared_ptr<Envelope>> mailbox;
+    RingBuffer<EnvelopePtr> mailbox;
   };
 
   // Dense activation table: Activation records live in a slab of recycled
@@ -311,7 +315,7 @@ class Server : public ThreadHost {
   };
 
   struct ParkedCalls {
-    std::vector<std::shared_ptr<Envelope>> entries;
+    std::vector<EnvelopePtr> entries;
     SimTime since = 0;
   };
 
@@ -327,32 +331,34 @@ class Server : public ThreadHost {
   // event captures only [this, slot] and stays inline in the event engine
   // (a [ResponseFn, Response] capture would spill to the heap per response);
   // slots recycle through a free list (free_next), same pattern as the
-  // stage's InService slab.
+  // stage's InService slab. `epoch` is the crash epoch at park time: a slot
+  // parked before a Crash() is freed without running, like a queued turn —
+  // its continuation may hold a call context the crash released.
   struct PendingResponse {
     ResponseFn fn;
     Response response;
+    uint64_t epoch = 0;
     uint32_t free_next = kNilSlot;
   };
 
   // -- message paths --
-  void HandleAfterReceive(std::shared_ptr<Envelope> env);
   void HandleControl(const Envelope& env, NodeId from);
-  void RouteCall(std::shared_ptr<Envelope> env);
-  void ResolveViaDirectory(std::shared_ptr<Envelope> env);
+  void RouteCall(EnvelopePtr env);
+  void ResolveViaDirectory(EnvelopePtr env);
   void OnDirectoryAnswer(ActorId actor, ServerId owner, uint64_t token);
-  void ActivateAndDeliver(std::shared_ptr<Envelope> env, uint64_t token);
+  void ActivateAndDeliver(EnvelopePtr env, uint64_t token);
   // Deactivates + unregisters, fencing the in-flight unregister so a racing
   // lookup answer cannot resurrect the doomed registration.
   void DropActivationAndUnregister(ActorId actor);
-  void DeliverLocalCall(std::shared_ptr<Envelope> env);
-  void StartTurn(ActorId actor, std::shared_ptr<Envelope> env);
+  void DeliverLocalCall(EnvelopePtr env);
+  void StartTurn(ActorId actor, EnvelopePtr env);
   void FinishTurn(ActorId actor);
-  void HandleResponse(std::shared_ptr<Envelope> env);
+  void HandleResponse(EnvelopePtr env);
 
   // -- sending --
-  void SendToServer(ServerId dest, std::shared_ptr<Envelope> env);
-  void SendToClient(NodeId client_node, std::shared_ptr<Envelope> env);
-  void ForwardCall(std::shared_ptr<Envelope> env, ServerId dest);
+  void SendToServer(ServerId dest, EnvelopePtr env);
+  void SendToClient(NodeId client_node, EnvelopePtr env);
+  void ForwardCall(EnvelopePtr env, ServerId dest);
 
   // -- sub-call issue (from call contexts) --
   void IssueCall(ActorId from_actor, ActorId target, MethodId method, uint64_t app_data,
@@ -363,9 +369,6 @@ class Server : public ThreadHost {
   uint32_t AcquireResponseSlot(ResponseFn fn, const Response& response);
   void RunResponseSlot(uint32_t slot);
   void FreeResponseSlot(uint32_t slot);
-
-  void RetainContext(void* key, std::shared_ptr<void> context);
-  std::shared_ptr<void> ReleaseContext(void* key);
 
   ServerId SuggestPlacement(ActorId actor);
   SimDuration SampleCost(SimDuration mean);
@@ -413,7 +416,7 @@ class Server : public ThreadHost {
   PooledNodeMap<ActorId, ParkedCalls> parked_calls_;
   // Retired parked-entry buffers, recycled by the next park so the
   // park/drain cycle stops allocating vectors in steady state.
-  std::vector<std::vector<std::shared_ptr<Envelope>>> parked_entry_pool_;
+  std::vector<std::vector<EnvelopePtr>> parked_entry_pool_;
   // Reused by SweepTimeouts' retry pass (collect-then-act; see the comment
   // there).
   std::vector<ActorId> sweep_retry_scratch_;
@@ -436,10 +439,11 @@ class Server : public ThreadHost {
   PooledNodeMap<ActorId, UnregisterFence> pending_unregisters_;
 
   // Unreplied call contexts: an actor may Reply() from a sub-call
-  // continuation long after its turn ended, so the runtime keeps the context
-  // alive until then. Keyed by the context pointer value; never iterated, so
-  // FlatHashMap is safe (see pending_calls_).
-  FlatHashMap<uint64_t, std::shared_ptr<void>> open_call_contexts_;
+  // continuation long after its turn ended, so the server owns the context
+  // until then (Reply erases it, returning it to the pool). Keyed by the
+  // context pointer value; never iterated, so FlatHashMap is safe (see
+  // pending_calls_).
+  FlatHashMap<uint64_t, Pooled<ServerCallContext>> open_call_contexts_;
 
   PartitionAgent* partition_agent_ = nullptr;
   CallLatencyObserver call_latency_observer_;

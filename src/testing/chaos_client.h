@@ -36,7 +36,7 @@ struct ChaosClientConfig {
   SimDuration sweep_period = Millis(500);
 };
 
-class ChaosClient {
+class ChaosClient : public Network::Endpoint {
  public:
   ChaosClient(Simulation* sim, Cluster* cluster, ChaosClientConfig config);
 
@@ -57,7 +57,7 @@ class ChaosClient {
   bool Settled() const { return pending_.empty(); }
 
  private:
-  void OnDeliver(NodeId from, uint32_t bytes, std::shared_ptr<void> msg);
+  void OnDeliver(NodeId from, uint32_t bytes, EnvelopePtr env) override;
   void SweepTimeouts();
 
   Simulation* sim_;

@@ -1,86 +1,64 @@
-#include "src/runtime/envelope_pool.h"
-
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
+#include <thread>
 
+#include "src/common/object_pool.h"
 #include "src/common/recycling_pool.h"
+#include "src/runtime/message.h"
 
 namespace actop {
 namespace {
 
 TEST(RecyclingPoolTest, RecyclesBlocksOfTheCachedSize) {
   RecyclingBlockCache cache;
-  struct Payload {
-    uint64_t a = 1;
-    uint64_t b = 2;
-  };
-  void* first = nullptr;
-  {
-    auto p = MakePooled<Payload>(cache);
-    first = p.get();
-    EXPECT_EQ(cache.fresh_allocations(), 1u);
-  }
+  void* first = cache.Allocate(16);
+  EXPECT_EQ(cache.fresh_allocations(), 1u);
+  cache.Release(first, 16);
   EXPECT_EQ(cache.cached_blocks(), 1u);
-  {
-    // Same type, freed block available: memory is reused, object is fresh.
-    auto p = MakePooled<Payload>(cache);
-    EXPECT_EQ(p.get(), first);
-    EXPECT_EQ(p->a, 1u);
-    EXPECT_EQ(cache.fresh_allocations(), 1u);
-    EXPECT_EQ(cache.recycled_allocations(), 1u);
-  }
+  // Same size, freed block available: the memory is handed back.
+  void* second = cache.Allocate(16);
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(cache.fresh_allocations(), 1u);
+  EXPECT_EQ(cache.recycled_allocations(), 1u);
+  cache.Release(second, 16);
 }
 
 TEST(RecyclingPoolTest, OtherSizesPassThrough) {
   RecyclingBlockCache cache;
-  struct Small {
-    uint64_t a = 0;
-  };
-  struct Big {
-    uint64_t a[32] = {};
-  };
-  auto s = MakePooled<Small>(cache);  // fixes the cached block size
-  auto b = MakePooled<Big>(cache);    // different size: plain new/delete
+  void* small = cache.Allocate(8);  // fixes the cached block size
+  void* big = cache.Allocate(256);  // different size: plain new/delete
   EXPECT_EQ(cache.fresh_allocations(), 2u);
-  s.reset();
-  b.reset();
-  EXPECT_EQ(cache.cached_blocks(), 1u);  // only the Small block was cached
+  cache.Release(small, 8);
+  cache.Release(big, 256);
+  EXPECT_EQ(cache.cached_blocks(), 1u);  // only the small block was cached
 }
 
-TEST(RecyclingPoolTest, WeakPtrKeepsControlBlockAlive) {
-  // The combined block is released only when strong AND weak counts drop;
-  // the cache must not see the block until then.
-  RecyclingBlockCache cache;
-  struct Payload {
-    int x = 5;
-  };
-  std::weak_ptr<Payload> weak;
-  {
-    auto p = MakePooled<Payload>(cache);
-    weak = p;
-  }
-  EXPECT_TRUE(weak.expired());
-  EXPECT_EQ(cache.cached_blocks(), 0u);  // weak_ptr still pins the block
-  weak.reset();
-  EXPECT_EQ(cache.cached_blocks(), 1u);
+PoolStats EnvelopePoolStats() { return ObjectPool<Envelope>::Instance().stats(); }
+
+// Runs `body` on a fresh thread, whose envelope pool starts empty, so pool
+// counts do not depend on what earlier tests in the process left parked.
+template <typename Fn>
+void OnFreshThread(Fn body) {
+  std::thread(body).join();
 }
 
 TEST(EnvelopePoolTest, RecyclesEnvelopeObjects) {
   // The pool retains the Envelope object itself (reset, capacity preserved),
   // not just its memory: releasing one envelope and asking for another must
   // hand back the same object without any construction traffic.
-  const EnvelopePoolStats before = GetEnvelopePoolStats();
-  Envelope* raw = nullptr;
-  {
-    auto env = MakeEnvelope();
-    raw = env.get();
-  }
-  EXPECT_EQ(GetEnvelopePoolStats().cached, before.cached + 1);
-  auto env2 = MakeEnvelope();
-  EXPECT_EQ(env2.get(), raw);
-  EXPECT_EQ(GetEnvelopePoolStats().recycled, before.recycled + 1);
+  OnFreshThread([] {
+    Envelope* raw = nullptr;
+    {
+      EnvelopePtr env = MakeEnvelope();
+      raw = env.get();
+    }
+    EXPECT_EQ(EnvelopePoolStats().fresh, 1u);
+    EXPECT_EQ(EnvelopePoolStats().cached, 1u);
+    EnvelopePtr env2 = MakeEnvelope();
+    EXPECT_EQ(env2.get(), raw);
+    EXPECT_EQ(EnvelopePoolStats().recycled, 1u);
+    EXPECT_EQ(EnvelopePoolStats().cached, 0u);
+  });
 }
 
 TEST(EnvelopePoolTest, RecycledControlEnvelopeLeaksNoStalePayload) {
@@ -90,7 +68,7 @@ TEST(EnvelopePoolTest, RecycledControlEnvelopeLeaksNoStalePayload) {
   // variant's values (the exchange vectors keep capacity only).
   Envelope* raw = nullptr;
   {
-    auto env = MakeEnvelope();
+    EnvelopePtr env = MakeEnvelope();
     raw = env.get();
     env->kind = MessageKind::kControl;
     env->hops = 3;
@@ -105,7 +83,7 @@ TEST(EnvelopePoolTest, RecycledControlEnvelopeLeaksNoStalePayload) {
     req.candidates[0].score = 2.5;
     env->control = std::move(req);
   }
-  auto env2 = MakeEnvelope();
+  EnvelopePtr env2 = MakeEnvelope();
   ASSERT_EQ(env2.get(), raw);  // same object back from the pool
   EXPECT_EQ(env2->kind, MessageKind::kCall);
   EXPECT_EQ(env2->hops, 0);
@@ -126,7 +104,7 @@ TEST(EnvelopePoolTest, RecycledControlEnvelopeLeaksNoStalePayload) {
 TEST(EnvelopePoolTest, RecycledResponseEnvelopeResetsAccepted) {
   Envelope* raw = nullptr;
   {
-    auto env = MakeEnvelope();
+    EnvelopePtr env = MakeEnvelope();
     raw = env.get();
     env->kind = MessageKind::kControl;
     PartitionExchangeResponse resp;
@@ -135,7 +113,7 @@ TEST(EnvelopePoolTest, RecycledResponseEnvelopeResetsAccepted) {
     resp.accepted = {1, 2, 3};
     env->control = std::move(resp);
   }
-  auto env2 = MakeEnvelope();
+  EnvelopePtr env2 = MakeEnvelope();
   ASSERT_EQ(env2.get(), raw);
   const auto* resp = std::get_if<PartitionExchangeResponse>(&env2->control);
   ASSERT_NE(resp, nullptr);
@@ -146,13 +124,13 @@ TEST(EnvelopePoolTest, RecycledResponseEnvelopeResetsAccepted) {
 }
 
 TEST(EnvelopePoolTest, EnvelopesAreFreshlyConstructed) {
-  auto env = MakeEnvelope();
+  EnvelopePtr env = MakeEnvelope();
   env->kind = MessageKind::kResponse;
   env->hops = 9;
   env->payload_bytes = 123;
   env.reset();
-  // A recycled envelope must look exactly like make_shared<Envelope>().
-  auto env2 = MakeEnvelope();
+  // A recycled envelope must look exactly like a default-constructed one.
+  EnvelopePtr env2 = MakeEnvelope();
   EXPECT_EQ(env2->kind, MessageKind::kCall);
   EXPECT_EQ(env2->hops, 0);
   EXPECT_EQ(env2->payload_bytes, 0u);
@@ -161,17 +139,19 @@ TEST(EnvelopePoolTest, EnvelopesAreFreshlyConstructed) {
 }
 
 TEST(EnvelopePoolTest, SteadyStateTrafficRecycles) {
-  RecyclingBlockCache& cache = EnvelopeBlockCache();
   // Warm the pool, then measure: churning envelopes one at a time must not
-  // take fresh allocations.
-  MakeEnvelope().reset();
-  const uint64_t fresh_before = cache.fresh_allocations();
-  for (int i = 0; i < 1000; i++) {
-    auto env = MakeEnvelope();
-    env->app_data = static_cast<uint64_t>(i);
-  }
-  EXPECT_EQ(cache.fresh_allocations(), fresh_before);
-  EXPECT_GE(cache.recycled_allocations(), 1000u);
+  // construct any new ones.
+  OnFreshThread([] {
+    MakeEnvelope().reset();
+    const PoolStats warm = EnvelopePoolStats();
+    for (int i = 0; i < 1000; i++) {
+      EnvelopePtr env = MakeEnvelope();
+      env->app_data = static_cast<uint64_t>(i);
+    }
+    EXPECT_EQ(EnvelopePoolStats().fresh, warm.fresh);
+    EXPECT_EQ(EnvelopePoolStats().recycled, warm.recycled + 1000);
+    EXPECT_EQ(EnvelopePoolStats().cached, 1u);
+  });
 }
 
 }  // namespace

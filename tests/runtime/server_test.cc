@@ -476,6 +476,44 @@ TEST(RuntimeTest, SubcallToCrashedServerFailsViaTimeout) {
   EXPECT_LE(relay_actor->failed_subcalls(), 1);
 }
 
+TEST(RuntimeTest, CrashDiscardsQueuedResponseContinuations) {
+  // Regression: a response continuation already queued in the worker stage
+  // when its server crashes must not run. The crash released the call
+  // context the continuation replies on, so running it would touch a
+  // recycled object.
+  ClusterConfig cfg = SmallCluster();
+  cfg.server.response_handling_compute = Millis(50);
+  cfg.server.exponential_costs = false;
+  cfg.server.gc_mean_interval = 0;
+  Simulation sim;
+  Cluster cluster(&sim, cfg);
+  RegisterTestActors(&cluster);
+  DirectClient client(&sim, &cluster, 5);
+
+  const ActorId relay = MakeActorId(kRelayType, 1);
+  const ActorId echo = MakeActorId(kEchoType, 2);
+  client.Call(relay, 1, 0, 100, nullptr);
+  client.Call(echo, 1, 0, 100, nullptr);
+  sim.RunUntil(Seconds(1));
+  const ServerId relay_host = HostOf(cluster, relay);
+  ASSERT_NE(relay_host, kNoServer);
+  auto* relay_actor = static_cast<RelayActor*>(cluster.GetOrCreateActor(relay));
+
+  // Without a crash the relay's continuation runs once per relayed call.
+  client.Call(relay, 0, echo, 100, nullptr);
+  sim.RunUntil(sim.now() + Seconds(1));
+  ASSERT_EQ(relay_actor->continuations(), 1);
+
+  // The echo response is back within a few ms; its continuation then holds
+  // a worker thread for 50 ms. Crash the relay's server in between.
+  client.Call(relay, 0, echo, 100, nullptr);
+  sim.RunUntil(sim.now() + Millis(20));
+  ASSERT_EQ(relay_actor->continuations(), 1);
+  cluster.CrashServer(relay_host);
+  sim.RunUntil(sim.now() + Seconds(1));
+  EXPECT_EQ(relay_actor->continuations(), 1);
+}
+
 TEST(RuntimeTest, ThreadAllocationApplies) {
   Simulation sim;
   Cluster cluster(&sim, SmallCluster());

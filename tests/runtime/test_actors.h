@@ -34,6 +34,7 @@ class RelayActor : public Actor {
     if (ctx.method() == 0 && ctx.app_data() != 0) {
       CallContext* call = &ctx;
       ctx.Call(static_cast<ActorId>(ctx.app_data()), 1, 128, [call, this](const Response& r) {
+        continuations_++;
         if (r.failed) {
           failed_subcalls_++;
         }
@@ -44,9 +45,11 @@ class RelayActor : public Actor {
     ctx.Reply(64);
   }
   int failed_subcalls() const { return failed_subcalls_; }
+  int continuations() const { return continuations_; }
 
  private:
   int failed_subcalls_ = 0;
+  int continuations_ = 0;
 };
 
 // Finds the server hosting `actor`, or kNoServer.
